@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 
 
 class _Block(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
 
 class AtomConfig(_Block):
@@ -172,7 +172,7 @@ class CurvesConfig(_Block):
             v = getattr(self, k)
             if v is not None:
                 return k, v
-        raise AssertionError("validated curves block lost its key")
+        raise ConfigError("curves must set one of omega_m_hz, beta_l, epsilon")
 
 
 class SweepConfig(_Block):

@@ -46,6 +46,13 @@ class ParameterError(ValueError):
     """Raised when a physical parameter or input combination is rejected."""
 
 
+def require_finite(owner: str, **values: float) -> None:
+    """Raise ParameterError naming the first of `values` that is NaN or inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{owner}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AtomParams:
     """Static atomic constants.
@@ -81,6 +88,16 @@ class AtomParams:
     Delta_L: float
 
     def __post_init__(self) -> None:
+        require_finite(
+            "AtomParams",
+            omega_g=self.omega_g,
+            omega_e=self.omega_e,
+            Gamma=self.Gamma,
+            Gamma_g=self.Gamma_g,
+            gamma=self.gamma,
+            dipole_ratio_sq=self.dipole_ratio_sq,
+            Delta_L=self.Delta_L,
+        )
         if self.omega_g <= 0:
             raise ParameterError(f"omega_g must be positive, got {self.omega_g}")
         if self.omega_e <= 0:
@@ -120,8 +137,10 @@ class FieldSpectrum:
     total_power: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.Omega <= 0:
-            raise ParameterError(f"Omega must be positive, got {self.Omega}")
+        if not 0.0 < self.Omega < math.inf:
+            raise ParameterError(
+                f"Omega must be positive and finite, got {self.Omega}"
+            )
         if not self.components:
             raise ParameterError("spectrum must contain at least one component")
         clean: dict[int, float] = {}
@@ -131,10 +150,13 @@ class FieldSpectrum:
             if amp < 0:
                 raise ParameterError(f"amplitude E_{k} must be >= 0, got {amp}")
             clean[int(k)] = float(amp)
+        total_power = math.fsum(a * a for a in clean.values())
+        if not math.isfinite(total_power):  # a NaN or inf amplitude
+            raise ParameterError(
+                f"amplitudes must be finite, got E^2 = {total_power} from {clean}"
+            )
         object.__setattr__(self, "components", clean)
-        object.__setattr__(
-            self, "total_power", math.fsum(a * a for a in clean.values())
-        )
+        object.__setattr__(self, "total_power", total_power)
 
     def amplitude(self, k: int) -> float:
         """E_k, or 0 for a component not present in the spectrum."""
@@ -187,6 +209,9 @@ class ModulationParams:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            "ModulationParams", a=self.a, omega_m=self.omega_m, alpha=self.alpha
+        )
         if self.a < 0:
             raise ParameterError(f"modulation index a must be >= 0, got {self.a}")
         if self.omega_m <= 0:

@@ -17,11 +17,16 @@ limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
 limit S and Q are both proportional to
 2 delta_tilde calV_L calV_R + K (calV_L^2 - calV_R^2), so K only shifts the
-dressed detuning, by the same amount at every omega_m.
+dressed detuning, by the same amount at every omega_m.  The closed form is
+written once, for couplings that are floats (one point) or numpy arrays
+over the slabs of a thick cell: `closed_form_signals` averages it over the
+slabs and `closed_form_crossing` solves its root, which needs no root
+finder because the signal is affine in delta.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +48,8 @@ __all__ = [
     "signals_from_amplitudes",
     "harmonic_signals",
     "linearized_signals",
+    "closed_form_signals",
+    "closed_form_crossing",
     "ShiftBreakdown",
     "asymmetry_shift",
 ]
@@ -129,7 +136,7 @@ def solve_fourier_amplitudes(
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:  # unreachable for Gamma_g_tilde > 0
-        raise AssertionError(
+        raise ParameterError(
             f"Fourier-amplitude system singular (cond = {np.linalg.cond(A):.3g}); "
             f"Gamma_g_tilde = {gt}, omega_m = {w}"
         ) from exc
@@ -187,6 +194,102 @@ def harmonic_signals(
     return result
 
 
+def _first_order(atom: AtomParams, c: DerivedCouplings, modulation: ModulationParams):
+    """Gains and drive terms of the first-order closed form.
+
+    At detection phase 0, S = g_S * drive and Q = g_Q * drive with
+    drive = x calV_L calV_R + K (calV_L^2 - calV_R^2) and
+    x = 2 delta + delta_r + delta_nr; to first order K enters only through
+    the detuning it adds to x.  Returns (g_S, g_Q, calV_L calV_R,
+    K (calV_L^2 - calV_R^2)).  The fields of `c` are floats for one point or
+    numpy arrays over the slabs of a cell.
+    """
+    gt = c.Gamma_g_tilde
+    w = modulation.omega_m
+    g2w2 = gt * gt + w * w
+    pref = 4.0 * c.P / (atom.gamma * atom.Gamma)
+    common = pref * modulation.a * w * c.V_LR / (g2w2 * g2w2)
+    g_S = 4.0 * common * gt
+    g_Q = 2.0 * common * w * (3.0 * gt * gt + w * w) / (gt * gt)
+    return g_S, g_Q, c.calV_L * c.calV_R, c.K * (c.calV_L**2 - c.calV_R**2)
+
+
+def _reduce(values, how: str):
+    """`how` ("mean", "sum" or "max") over the slabs, or the single value."""
+    if isinstance(values, np.ndarray):
+        return float(getattr(values, how)())
+    return values
+
+
+def _regime_warnings(
+    atom: AtomParams, c: DerivedCouplings, modulation: ModulationParams, x
+) -> tuple[str, ...]:
+    """Each regime condition of the closed form once, at its worst slab."""
+    gt = c.Gamma_g_tilde
+    warns: list[str] = []
+    detuning = _reduce(abs(x) / gt, "max")
+    if detuning > 0.05:
+        warns.append(
+            f"|2 delta_tilde| = {detuning:.3g} Gamma_g_tilde exceeds "
+            "0.05 Gamma_g_tilde"
+        )
+    if (atom.Delta_L / atom.Gamma) ** 2 > 0.1:
+        warns.append(
+            f"(Delta_L/Gamma)^2 = {(atom.Delta_L / atom.Gamma) ** 2:.3g} > 0.1"
+        )
+    asymmetry = _reduce((c.K / gt) ** 2, "max")
+    if asymmetry > 0.1:
+        warns.append(f"K^2/Gamma_g_tilde^2 = {asymmetry:.3g} > 0.1")
+    if modulation.beyond_recommended_index:
+        warns.append(f"modulation index a = {modulation.a} > 0.5")
+    return tuple(warns)
+
+
+def closed_form_signals(
+    atom: AtomParams,
+    couplings: DerivedCouplings,
+    modulation: ModulationParams,
+    delta: float,
+) -> LockInResult:
+    """First-order closed-form signals, averaged over the slabs of `couplings`.
+
+    `couplings` holds floats for one point (`linearized_signals`) or numpy
+    arrays over the slabs of a cell (`thick.averaged_signal`).
+    """
+    g_S, g_Q, VV, K_term = _first_order(atom, couplings, modulation)
+    x = 2.0 * delta + couplings.delta_r + couplings.delta_nr
+    drive = x * VV + K_term
+    return LockInResult(
+        S=_reduce(g_S * drive, "mean"),
+        Q=_reduce(g_Q * drive, "mean"),
+        warnings=_regime_warnings(atom, couplings, modulation, x),
+    ).at_phase(modulation.alpha)
+
+
+def closed_form_crossing(
+    atom: AtomParams,
+    couplings: DerivedCouplings,
+    modulation: ModulationParams,
+) -> float:
+    """Detuning where the in-phase signal of `closed_form_signals` vanishes.
+
+    Every slab signal is g_i (2 delta VV_i + x0_i VV_i + K_i dV2_i), with
+    g_i the gain at the detection phase and x0_i the slab's static shift,
+    so the averaged signal is affine in delta and crosses zero at
+    2 delta = -sum_i g_i (x0_i VV_i + K_i dV2_i) / sum_i g_i VV_i, for
+    symmetric and asymmetric spectra alike.  NaN when the slope vanishes
+    (a = 0, or a resonant sideband absent).
+    """
+    g_S, g_Q, VV, K_term = _first_order(atom, couplings, modulation)
+    alpha = modulation.alpha
+    g = g_S * math.cos(alpha) - g_Q * math.sin(alpha)
+    slope = _reduce(g * VV, "sum")
+    if slope == 0.0:
+        return math.nan
+    x0 = couplings.delta_r + couplings.delta_nr
+    return -_reduce(g * (x0 * VV + K_term), "sum") / (2.0 * slope)
+
+
 def linearized_signals(
     atom: AtomParams,
     spectrum: FieldSpectrum,
@@ -199,43 +302,13 @@ def linearized_signals(
     a = 0.2 the omitted detuning curvature makes the error against the
     time-domain reference about 10% of the scan scale at
     |2 delta_tilde| = 0.2 Gamma_g_tilde and under 1% within 0.05
-    Gamma_g_tilde.  Attaches
-    warnings (never raises) when the inputs stray outside the regime:
-    |2 delta_tilde| > 0.2 Gamma_g_tilde, (Delta_L/Gamma)^2 > 0.1, or
-    K^2/Gamma_g_tilde^2 > 0.1.
+    Gamma_g_tilde.  Attaches warnings (never raises) when the inputs stray
+    outside the regime: |2 delta_tilde| > 0.05 Gamma_g_tilde,
+    (Delta_L/Gamma)^2 > 0.1, K^2/Gamma_g_tilde^2 > 0.1, or a > 0.5.
     """
-    c = derive_couplings(atom, spectrum)
-    x = 2.0 * delta + c.delta_r + c.delta_nr
-    gt = c.Gamma_g_tilde
-    w = modulation.omega_m
-    aw = modulation.a * w
-    dV2 = c.calV_L**2 - c.calV_R**2
-    VV = c.calV_L * c.calV_R
-    pref = 4.0 * c.P / (atom.gamma * atom.Gamma)
-    g2w2 = gt * gt + w * w
-
-    # to first order, K enters only through the detuning it adds to x
-    drive = x * VV + c.K * dV2
-    S = pref * 4.0 * aw * c.V_LR * drive * gt / (g2w2 * g2w2)
-    Q = pref * 2.0 * aw * w * c.V_LR * drive * (3.0 * gt * gt + w * w) / (
-        gt * gt * g2w2 * g2w2
+    return closed_form_signals(
+        atom, derive_couplings(atom, spectrum), modulation, delta
     )
-
-    warns: list[str] = []
-    if abs(x) > 0.2 * gt:
-        warns.append(
-            f"|2 delta_tilde| = {abs(x):.3g} exceeds 0.2 Gamma_g_tilde = {0.2 * gt:.3g}"
-        )
-    if (atom.Delta_L / atom.Gamma) ** 2 > 0.1:
-        warns.append(
-            f"(Delta_L/Gamma)^2 = {(atom.Delta_L / atom.Gamma) ** 2:.3g} > 0.1"
-        )
-    if (c.K / gt) ** 2 > 0.1:
-        warns.append(f"K^2/Gamma_g_tilde^2 = {(c.K / gt) ** 2:.3g} > 0.1")
-    if modulation.beyond_recommended_index:
-        warns.append(f"modulation index a = {modulation.a} > 0.5")
-
-    return LockInResult(S=S, Q=Q, warnings=tuple(warns)).at_phase(modulation.alpha)
 
 
 @dataclass(frozen=True)
@@ -264,22 +337,17 @@ def asymmetry_shift(
 ) -> ShiftBreakdown:
     """Decompose the linearized zero crossing into its shift contributions."""
     c = derive_couplings(atom, spectrum)
-    VV = c.calV_L * c.calV_R
+    g_S, _, VV, K_term = _first_order(atom, c, modulation)
     if VV == 0.0:
         raise ParameterError(
             "asymmetry shift is undefined when a resonant sideband is absent "
             "(calV_L * calV_R = 0)"
         )
-    gt = c.Gamma_g_tilde
-    w = modulation.omega_m
-    g2w2 = gt * gt + w * w
-    delta_as = c.K * (c.calV_L**2 - c.calV_R**2) / VV
-    pref = 4.0 * c.P / (atom.gamma * atom.Gamma)
-    A = pref * 4.0 * modulation.a * w * c.V_LR * VV * gt / (g2w2 * g2w2)
+    delta_as = K_term / VV
     return ShiftBreakdown(
         delta_r=c.delta_r,
         delta_nr=c.delta_nr,
         delta_as=delta_as,
-        A=A,
+        A=g_S * VV,
         delta_0_predicted=-(c.delta_r + c.delta_nr + delta_as) / 2.0,
     )

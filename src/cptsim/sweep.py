@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     AtomParams,
@@ -34,9 +33,15 @@ from .core import (
     ParameterError,
     bessel_spectrum,
     derive_couplings,
+    require_finite,
 )
-from .harmonic import asymmetry_shift, harmonic_signals, linearized_signals
-from .thick import CellParams, averaged_signal
+from .harmonic import (
+    asymmetry_shift,
+    closed_form_crossing,
+    harmonic_signals,
+    linearized_signals,
+)
+from .thick import CellParams, averaged_signal, slab_couplings
 from .timedomain import IntegrationSettings, integrate_ground_state, lockin
 
 __all__ = [
@@ -60,6 +65,18 @@ SignalPath = Literal["time-domain", "harmonic", "linearized", "thick"]
 
 class BracketError(ValueError):
     """Raised when the in-phase signal has no sign change over the bracket."""
+
+
+def brentq(f, a, b, **kwargs):
+    """`scipy.optimize.brentq`, imported on first call.
+
+    Importing scipy.optimize takes most of the time of `import cptsim`, and
+    only the root finders of the harmonic and time-domain paths and the
+    m-root refinement need it.
+    """
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 def make_signal_function(
@@ -108,8 +125,11 @@ def zero_crossing(
     """Detuning delta_0 where the in-phase signal crosses zero.
 
     Default bracket is +-Gamma_g_tilde around the unperturbed resonance and
-    the default tolerance is 1e-4 * Gamma_g_tilde.  Raises BracketError with
-    the endpoint signal values when there is no sign change.
+    the default tolerance is 1e-4 * Gamma_g_tilde.  The linearized and thick
+    signals are affine in delta, so their crossing is solved in closed form
+    (to rounding, whatever `xtol`); the other paths use Brent's method.
+    Raises BracketError with the endpoint signal values when there is no
+    sign change.
     """
     gt = derive_couplings(atom, spectrum).Gamma_g_tilde
     if bracket is None:
@@ -122,6 +142,15 @@ def zero_crossing(
     signal = make_signal_function(
         atom, spectrum, modulation, path, cell, settings, allow_asymmetric
     )
+    if path in ("linearized", "thick"):
+        if path == "linearized":
+            couplings = derive_couplings(atom, spectrum)
+        else:
+            couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
+        root = closed_form_crossing(atom, couplings, modulation)
+        if lo <= root <= hi:
+            return root
+        # outside the bracket (or no slope): the endpoint check below reports it
     S_lo, S_hi = signal(lo), signal(hi)
     if S_lo == 0.0:
         return lo
@@ -343,6 +372,12 @@ def symmetrizing_detuning(
     At this detuning the dispersive weights of the excited doublet cancel:
     K = 0, delta_r = 0, and the response is odd in the dressed detuning.
     """
+    require_finite(
+        "symmetrizing_detuning",
+        Gamma=Gamma,
+        omega_e=omega_e,
+        dipole_ratio_sq=dipole_ratio_sq,
+    )
     if Gamma <= 0:
         raise ParameterError(f"Gamma must be positive, got {Gamma}")
     if omega_e <= 0:
@@ -362,7 +397,11 @@ def symmetrizing_detuning(
     lo = -omega_e * (1.0 - 1e-12)
     hi = -omega_e * 1e-12
     f_lo, f_hi = f(lo), f(hi)
-    assert f_lo < 0.0 < f_hi, "sign change guaranteed on (-omega_e, 0)"
+    if not f_lo < 0.0 < f_hi:
+        raise ParameterError(
+            f"no sign change on (-omega_e, 0): f = {f_lo:.3g} at its low end, "
+            f"{f_hi:.3g} at its high end (Gamma = {Gamma}, omega_e = {omega_e})"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

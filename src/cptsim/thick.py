@@ -11,7 +11,9 @@ points and points of zero displacement.
 The slab-local signal is the closed-form linearized one; the cell integral
 is a composite midpoint sum over `n_slabs` slabs (the default count is
 convergence-checked: doubling it moves the averaged signal by well under
-0.1% in the regimes of interest).
+0.1% in the regimes of interest).  `slab_couplings` builds the couplings of
+every slab at once as numpy arrays over z, and the closed form of
+`harmonic` evaluates them in one pass; no slab is visited in Python.
 """
 
 from __future__ import annotations
@@ -19,17 +21,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     AtomParams,
+    DerivedCouplings,
     FieldSpectrum,
     LockInResult,
     ModulationParams,
     ParameterError,
+    derive_couplings,
+    nonresonant_shift_components,
+    require_finite,
 )
-from .harmonic import asymmetry_shift, linearized_signals
+from .harmonic import closed_form_crossing, closed_form_signals
+
+# perfbench/tracer.py counts per-slab calls through this binding; it stays
+# bound so the count reads 0 rather than missing.
+from .harmonic import linearized_signals  # noqa: F401
 
 __all__ = [
     "CellParams",
+    "slab_couplings",
     "averaged_signal",
     "thick_zero_crossing",
     "thick_ip_residual",
@@ -50,6 +63,9 @@ class CellParams:
     n_slabs: int = 64
 
     def __post_init__(self) -> None:
+        require_finite(
+            "CellParams", length=self.length, beta=self.beta, n_slabs=self.n_slabs
+        )
         if self.length <= 0:
             raise ParameterError(f"cell length must be positive, got {self.length}")
         if self.beta < 0:
@@ -58,22 +74,51 @@ class CellParams:
             raise ParameterError(f"n_slabs must be >= 8, got {self.n_slabs}")
 
 
-def _require_symmetric(spectrum: FieldSpectrum, what: str) -> None:
+def slab_couplings(
+    atom: AtomParams,
+    spectrum: FieldSpectrum,
+    cell: CellParams,
+    allow_asymmetric: bool = False,
+) -> DerivedCouplings:
+    """Couplings at the slab midpoints z_i = (i + 1/2) length/n_slabs.
+
+    Every field except P is a numpy array over the slabs.  Only the resonant
+    pair is attenuated, by t = e^{-beta z} in power, so V_L, V_R, V_LR, K
+    and delta_r scale with t, calV_L and calV_R with sqrt(t),
+    Gamma_g_tilde = Gamma_g + t (V_L + V_R), and delta_nr keeps its
+    non-resonant part plus t times the resonant pair's share.  All of it
+    comes from one `derive_couplings` of the entrance spectrum.  A
+    transparent cell is a single slab holding the entrance values exactly.
+
+    The z-average is derived for symmetric resonant sidebands; pass
+    `allow_asymmetric=True` to average asymmetric spectra anyway (an
+    extension beyond the symmetric treatment).
+    """
     EL, ER = spectrum.amplitude(-1), spectrum.amplitude(+1)
     scale = max(EL, ER)
-    if scale == 0.0 or abs(EL - ER) > 1e-12 * scale:
+    if not allow_asymmetric and (scale == 0.0 or abs(EL - ER) > 1e-12 * scale):
         raise ParameterError(
-            f"{what} requires symmetric resonant sidebands "
+            "the thick-cell average requires symmetric resonant sidebands "
             f"(E_-1 = {EL}, E_+1 = {ER})"
         )
-
-
-def _slab_spectra(spectrum: FieldSpectrum, cell: CellParams):
-    """Spectra at the slab midpoints z_i = (i + 1/2) length/n_slabs."""
-    dz = cell.length / cell.n_slabs
-    for i in range(cell.n_slabs):
-        z = (i + 0.5) * dz
-        yield spectrum.with_resonant_attenuation(math.exp(-cell.beta * z))
+    c = derive_couplings(atom, spectrum)
+    n = cell.n_slabs if cell.beta > 0.0 else 1
+    t = np.exp(-cell.beta * ((np.arange(n) + 0.5) * (cell.length / n)))
+    loss = 1.0 - t  # written as a loss so that t = 1 reproduces c exactly
+    root = np.sqrt(t)
+    shares = nonresonant_shift_components(atom, spectrum)
+    return DerivedCouplings(
+        V_L=t * c.V_L,
+        V_R=t * c.V_R,
+        V_LR=t * c.V_LR,
+        K=t * c.K,
+        Gamma_g_tilde=c.Gamma_g_tilde - loss * (c.V_L + c.V_R),
+        P=c.P,
+        delta_r=t * c.delta_r,
+        delta_nr=c.delta_nr - loss * (shares[-1] + shares[1]),
+        calV_L=root * c.calV_L,
+        calV_R=root * c.calV_R,
+    )
 
 
 def averaged_signal(
@@ -86,30 +131,11 @@ def averaged_signal(
 ) -> LockInResult:
     """Cell-averaged linearized lock-in signal at detuning `delta`.
 
-    `spectrum` is the field at the cell entrance.  The z-average is derived
-    for symmetric resonant sidebands; pass `allow_asymmetric=True` to run
-    the per-slab linearized path with a z-dependent asymmetry shift anyway
-    (an extension beyond the symmetric treatment).
+    `spectrum` is the field at the cell entrance.  Each regime warning of
+    the linearized form is reported once, at its worst slab.
     """
-    if not allow_asymmetric:
-        _require_symmetric(spectrum, "averaged_signal")
-    if cell.beta == 0.0:
-        # Every slab sees the entrance field; the average is one slab.
-        return linearized_signals(atom, spectrum, modulation, delta)
-    S_sum = 0.0
-    Q_sum = 0.0
-    warns: list[str] = []
-    for slab in _slab_spectra(spectrum, cell):
-        res = linearized_signals(atom, slab, modulation, delta)
-        S_sum += res.S
-        Q_sum += res.Q
-        for w in res.warnings:
-            if w not in warns:
-                warns.append(w)
-    n = cell.n_slabs
-    return LockInResult(
-        S=S_sum / n, Q=Q_sum / n, alpha=modulation.alpha, warnings=tuple(warns)
-    )
+    couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
+    return closed_form_signals(atom, couplings, modulation, delta)
 
 
 def thick_zero_crossing(
@@ -120,22 +146,19 @@ def thick_zero_crossing(
 ) -> float:
     """Zero crossing of the cell-averaged signal, symmetric spectra only.
 
-    The averaged linearized signal is sum_i A_i (2 delta + delta_nr_i), so
-    the crossing sits at the A-weighted average
-    2 delta_0 = -sum_i A_i delta_nr_i / sum_i A_i.
+    The averaged linearized signal is sum_i A_i (2 delta + delta_nr_i) at
+    detection phase 0, so the crossing sits at the A-weighted average
+    2 delta_0 = -sum_i A_i delta_nr_i / sum_i A_i (at another phase the
+    weights are the rotated slab gains).
     """
-    _require_symmetric(spectrum, "thick_zero_crossing")
-    if cell.beta == 0.0:
-        sb = asymmetry_shift(atom, spectrum, modulation)
-        return -sb.delta_nr / 2.0
-    A_sum = 0.0
-    weighted = 0.0
-    for slab in _slab_spectra(spectrum, cell):
-        sb = asymmetry_shift(atom, slab, modulation)
-        A_sum += sb.A
-        weighted += sb.A * sb.delta_nr
-    assert A_sum != 0.0, "slab weights summed to zero for a valid spectrum"
-    return -weighted / (2.0 * A_sum)
+    couplings = slab_couplings(atom, spectrum, cell)
+    root = closed_form_crossing(atom, couplings, modulation)
+    if math.isnan(root):
+        raise ParameterError(
+            "the averaged in-phase signal has no slope in delta "
+            f"(modulation index a = {modulation.a})"
+        )
+    return root
 
 
 def thick_ip_residual(
@@ -147,34 +170,15 @@ def thick_ip_residual(
 ) -> float:
     """Power sensitivity of the thick-medium zero crossing (symmetric case).
 
-    Evaluates d/dE^2 of the weighted-average shift, i.e.
-
-        [ (dI_Ad) I_A - (dI_A) I_Ad ] / I_A^2  =  -2 d(delta_0)/dE^2,
-
-    with I_A = sum_i A_i and I_Ad = sum_i A_i delta_nr_i over the slabs and
-    d/dE^2 taken by scaling every spectral component uniformly (central
-    difference, relative step `rel_step`).  Insensitivity points are the
-    roots of this residual over the spectrum-family parameter.  Units:
-    1/(rad/s), per unit of E^2 in rad^2/s^2.
+    Returns -2 d(delta_0)/dE^2, the E^2-derivative of the weighted-average
+    shift sum_i A_i delta_nr_i / sum_i A_i, with d/dE^2 taken by scaling
+    every spectral component uniformly (central difference, relative step
+    `rel_step`).  Insensitivity points are the roots of this residual over
+    the spectrum-family parameter.  Units: (rad/s) per unit of E^2 in
+    rad^2/s^2.
     """
-    _require_symmetric(spectrum, "thick_ip_residual")
     if not 0.0 < rel_step < 0.1:
         raise ParameterError(f"rel_step must be in (0, 0.1), got {rel_step}")
-
-    def integrals(spec: FieldSpectrum) -> tuple[float, float]:
-        A_sum = 0.0
-        weighted = 0.0
-        for slab in _slab_spectra(spec, cell):
-            sb = asymmetry_shift(atom, slab, modulation)
-            A_sum += sb.A
-            weighted += sb.A * sb.delta_nr
-        return A_sum, weighted
-
-    I_A, I_Ad = integrals(spectrum)
-    assert I_A != 0.0, "slab weights summed to zero for a valid spectrum"
-    up_A, up_Ad = integrals(spectrum.scaled(1.0 + rel_step))
-    dn_A, dn_Ad = integrals(spectrum.scaled(1.0 - rel_step))
-    dE2 = 2.0 * rel_step * spectrum.total_power
-    dI_A = (up_A - dn_A) / dE2
-    dI_Ad = (up_Ad - dn_Ad) / dE2
-    return (dI_Ad * I_A - dI_A * I_Ad) / (I_A * I_A)
+    up = thick_zero_crossing(atom, spectrum.scaled(1.0 + rel_step), modulation, cell)
+    dn = thick_zero_crossing(atom, spectrum.scaled(1.0 - rel_step), modulation, cell)
+    return -2.0 * (up - dn) / (2.0 * rel_step * spectrum.total_power)

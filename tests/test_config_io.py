@@ -77,6 +77,20 @@ class TestParseConfig:
         assert "atom.gamma_opt_mhz" in msg
         assert "modulation.a" in msg
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("a: 0.2", "a: 0.2\n  alpha: .nan"),
+            ("a: 0.2", "a: 0.2\n  alpha: .inf"),
+            ("a: 0.2", "a: .nan"),
+            ("omega_m_hz: 600.0", "omega_m_hz: .inf"),
+            ("rabi_khz: 750.0", "rabi_khz: .inf"),
+        ],
+    )
+    def test_rejects_non_finite_floats(self, old, new):
+        with pytest.raises(ConfigError, match="finite number"):
+            parse_config(BASE_YAML.replace(old, new))
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="omega_q_mhz"):
             parse_config(BASE_YAML + "\n" + "cell:\n  length_m: 0.02\n  omega_q_mhz: 1\n")

@@ -92,6 +92,19 @@ class TestFieldSpectrum:
         with pytest.raises(ParameterError):
             FieldSpectrum(Omega=-1.0, components={1: 1.0})
 
+    @pytest.mark.parametrize(
+        "Omega,components",
+        [
+            (math.nan, {-1: 1.0, 1: 1.0}),
+            (math.inf, {-1: 1.0, 1: 1.0}),
+            (OMEGA, {-1: math.nan, 1: 1.0}),
+            (OMEGA, {-1: 1.0, 1: math.inf}),
+        ],
+    )
+    def test_rejects_non_finite(self, Omega, components):
+        with pytest.raises(ParameterError, match="finite"):
+            FieldSpectrum(Omega=Omega, components=components)
+
     def test_sigma_and_amplitude(self):
         spec = FieldSpectrum(Omega=OMEGA, components={-1: 3.0, 1: 4.0})
         assert spec.total_power == 25.0
@@ -131,6 +144,23 @@ class TestAtomAndModulationValidation:
         with pytest.raises(ParameterError):
             make_atom(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("omega_g", math.nan),
+            ("omega_e", math.inf),
+            ("Gamma", math.nan),
+            ("Gamma_g", math.inf),
+            ("gamma", math.nan),
+            ("dipole_ratio_sq", math.nan),
+            ("Delta_L", math.nan),
+            ("Delta_L", -math.inf),
+        ],
+    )
+    def test_atom_rejects_non_finite(self, field, value):
+        with pytest.raises(ParameterError, match=f"AtomParams.{field} must be finite"):
+            make_atom(**{field: value})
+
     def test_wide_line_warns(self):
         # (Gamma/Omega)^2 crosses the adiabatic-elimination bound at 380 MHz
         with pytest.warns(UserWarning, match="adiabatic elimination"):
@@ -143,6 +173,21 @@ class TestAtomAndModulationValidation:
             ModulationParams(a=0.1, omega_m=0.0)
         assert ModulationParams(a=0.6, omega_m=1.0).beyond_recommended_index
         assert not ModulationParams(a=0.5, omega_m=1.0).beyond_recommended_index
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(a=math.nan, omega_m=1.0),
+            dict(a=math.inf, omega_m=1.0),
+            dict(a=0.2, omega_m=math.inf),
+            dict(a=0.2, omega_m=math.nan),
+            dict(a=0.2, omega_m=1.0, alpha=math.nan),
+            dict(a=0.2, omega_m=1.0, alpha=math.inf),
+        ],
+    )
+    def test_modulation_rejects_non_finite(self, kwargs):
+        with pytest.raises(ParameterError, match="must be finite"):
+            ModulationParams(**kwargs)
 
 
 class TestLockInResult:

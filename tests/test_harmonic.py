@@ -284,7 +284,12 @@ class TestLinearized:
             centered_delta(atom, spec, 0.0),
         )
         assert any("a = 0.7" in w for w in big_a.warnings)
+        # the warning window is the one criterion 1 gates at 2%
+        edge = linearized_signals(
+            atom, spec, mod, centered_delta(atom, spec, 0.1 * c.Gamma_g_tilde)
+        )
+        assert any("2 delta_tilde" in w for w in edge.warnings)
         clean = linearized_signals(
-            atom, spec, mod, centered_delta(atom, spec, 0.05 * c.Gamma_g_tilde)
+            atom, spec, mod, centered_delta(atom, spec, 0.04 * c.Gamma_g_tilde)
         )
         assert clean.warnings == ()

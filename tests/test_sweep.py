@@ -16,8 +16,11 @@ from conftest import (
     make_spectrum,
     pair_spectrum,
 )
+from scipy.optimize import brentq
+
 from cptsim import (
     BracketError,
+    CellParams,
     ModulationParams,
     ParameterError,
     ServoScenario,
@@ -73,6 +76,36 @@ class TestZeroCrossing:
                 atom, spec, mod,
                 bracket=(-1e-4 * c.Gamma_g_tilde, 1e-4 * c.Gamma_g_tilde),
             )
+
+    @pytest.mark.parametrize("path", ["linearized", "thick"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_affine_paths_match_brentq_on_signal(self, atom, path, epsilon, alpha):
+        # the closed-form root of the affine paths against Brent's method on
+        # the very signal they solve, symmetric and asymmetric spectra alike
+        spec = make_spectrum(m=2.3, epsilon=epsilon)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = ModulationParams(a=0.2, omega_m=0.5 * gt, alpha=alpha)
+        cell = CellParams(length=0.02, beta=0.43 / 0.02, n_slabs=64)
+        kw = dict(cell=cell, allow_asymmetric=True)
+        signal = make_signal_function(atom, spec, mod, path, **kw)
+        reference = brentq(
+            signal, -gt, gt, xtol=1e-12 * gt, rtol=4.0 * np.finfo(float).eps
+        )
+        root = zero_crossing(atom, spec, mod, path, **kw)
+        assert root == pytest.approx(reference, abs=1e-10 * gt)
+        assert abs(signal(root)) <= 1e-9 * abs(signal(root + 0.1 * gt))
+
+    @pytest.mark.parametrize("path", ["linearized", "thick"])
+    def test_affine_paths_report_bracket_without_root(self, atom, path):
+        spec = make_spectrum(m=2.3, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        kw = dict(cell=CellParams(0.02, 0.43 / 0.02, 64), allow_asymmetric=True)
+        root = zero_crossing(atom, spec, mod, path, **kw)
+        for bracket in ((root + 0.1 * gt, root + 0.5 * gt), (root - gt, root - 0.2 * gt)):
+            with pytest.raises(BracketError, match="S\\(lo\\) = .*S\\(hi\\) = "):
+                zero_crossing(atom, spec, mod, path, bracket=bracket, **kw)
 
     def test_rejects_bad_bracket_and_path(self, atom):
         spec = make_spectrum(m=2.3, epsilon=0.0)
@@ -180,6 +213,20 @@ class TestSymmetrizingDetuning:
             symmetrizing_detuning(GAMMA_OPT, 0.0)
         with pytest.raises(ParameterError):
             symmetrizing_detuning(GAMMA_OPT, OMEGA_E, dipole_ratio_sq=0.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(math.nan, OMEGA_E), (GAMMA_OPT, math.inf), (GAMMA_OPT, OMEGA_E, math.nan)],
+    )
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(ParameterError, match="must be finite"):
+            symmetrizing_detuning(*args)
+
+    def test_overflowing_width_is_an_explicit_error(self):
+        # Gamma^2 overflows, the weights underflow to zero and the sign
+        # change the bisection needs is lost
+        with pytest.raises(ParameterError, match="no sign change"):
+            symmetrizing_detuning(1e200, OMEGA_E)
 
 
 class TestServo:

@@ -37,6 +37,52 @@ class TestAveragedSignal:
             assert thick.S == thin.S
             assert thick.Q == thin.Q
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_matches_per_slab_reference_loop(self, atom, alpha):
+        # asymmetric spectrum with K != 0: every coupling moves along the cell
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        assert derive_couplings(atom, spec).K != 0.0
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt, alpha=alpha)
+        cell = CellParams(LENGTH, 0.43 / LENGTH, 64)
+        dz = LENGTH / 64
+        for off in (-0.3, 0.05, 0.4):
+            delta = off * gt
+            slabs = [
+                linearized_signals(
+                    atom,
+                    spec.with_resonant_attenuation(math.exp(-cell.beta * (i + 0.5) * dz)),
+                    mod,
+                    delta,
+                )
+                for i in range(64)
+            ]
+            res = averaged_signal(atom, spec, mod, cell, delta, allow_asymmetric=True)
+            assert res.S == pytest.approx(sum(r.S for r in slabs) / 64, rel=1e-12)
+            assert res.Q == pytest.approx(sum(r.Q for r in slabs) / 64, rel=1e-12)
+            assert res.alpha == alpha
+
+    def test_warnings_once_at_worst_slab(self, atom):
+        spec = make_spectrum(m=2.4, epsilon=0.0)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=0.7, omega_m=0.5 * gt)
+        cell = CellParams(LENGTH, 0.43 / LENGTH, 64)
+        res = averaged_signal(atom, spec, mod, cell, gt)
+        worst = 0.0
+        for i in range(64):
+            slab = spec.with_resonant_attenuation(
+                math.exp(-cell.beta * (i + 0.5) * LENGTH / 64)
+            )
+            c = derive_couplings(atom, slab)
+            x = 2.0 * gt + c.delta_r + c.delta_nr
+            worst = max(worst, abs(x) / c.Gamma_g_tilde)
+            assert linearized_signals(atom, slab, mod, gt).warnings
+        detuning = [w for w in res.warnings if "2 delta_tilde" in w]
+        assert detuning == [
+            f"|2 delta_tilde| = {worst:.3g} Gamma_g_tilde exceeds 0.05 Gamma_g_tilde"
+        ]
+        assert sum("a = 0.7" in w for w in res.warnings) == 1
+
     def test_slab_count_convergence(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.0)
         mod = modulation_for(atom, spec)
@@ -114,6 +160,12 @@ class TestThickRoots:
         with pytest.raises(ParameterError, match="E_-1"):
             thick_ip_residual(atom, spec, mod, cell)
 
+    def test_flat_signal_has_no_crossing(self, atom):
+        spec = make_spectrum(m=2.3, epsilon=0.0)
+        mod = make_modulation(a=0.0, omega_m=1e3)
+        with pytest.raises(ParameterError, match="no slope"):
+            thick_zero_crossing(atom, spec, mod, CellParams(LENGTH, 0.43 / LENGTH))
+
     def test_residual_step_validation(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.0)
         mod = modulation_for(atom, spec)
@@ -130,3 +182,16 @@ class TestCellParams:
             CellParams(length=0.02, beta=-1.0)
         with pytest.raises(ParameterError):
             CellParams(length=0.02, n_slabs=4)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(length=math.nan),
+            dict(length=math.inf),
+            dict(length=0.02, beta=math.nan),
+            dict(length=0.02, beta=math.inf),
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ParameterError, match="CellParams.* must be finite"):
+            CellParams(**kwargs)
