@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config
 from .core import ParameterError
 from .runner import run_scenario
 from .sweep import symmetrizing_detuning
@@ -23,20 +23,22 @@ from .timedomain import integrate_ground_state
 TWO_PI = 2.0 * math.pi
 
 
-def _load_config(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+def _load_config(path: str) -> ScenarioConfig | int:
+    """The parsed config, or exit code 2 after reporting why it failed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except OSError as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"invalid configuration {path}:\n{exc}", file=sys.stderr)
+    return 2
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        print(f"cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"invalid configuration {args.config}:\n{exc}", file=sys.stderr)
-        return 2
+    config = _load_config(args.config)
+    if isinstance(config, int):
+        return config
     out_dir = args.out_dir or os.environ.get("CPTSIM_OUT_DIR") or None
     try:
         result = run_scenario(config, out_dir)
@@ -50,14 +52,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        print(f"cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"invalid configuration {args.config}:\n{exc}", file=sys.stderr)
-        return 2
+    config = _load_config(args.config)
+    if isinstance(config, int):
+        return config
     print(f"{args.config}: OK")
     print(
         f"sweep axis {config.sweep.axis}, {config.sweep.points} points, "
@@ -81,14 +78,9 @@ def _cmd_sym_detuning(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        print(f"cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"invalid configuration {args.config}:\n{exc}", file=sys.stderr)
-        return 2
+    config = _load_config(args.config)
+    if isinstance(config, int):
+        return config
     atom = config.atom.to_params()
     spectrum = config.spectrum.to_spectrum(atom.omega_g / 2.0)
     modulation = config.modulation.to_params()

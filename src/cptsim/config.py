@@ -179,7 +179,15 @@ class SweepConfig(_Block):
     axis: str = Field(description="m, omega_m, beta, epsilon, or power")
     start: float
     stop: float
-    points: int = Field(ge=0)
+    points: int = Field(
+        ge=0,
+        le=1000,
+        description=(
+            "grid points, at most 1000 to bound one run's work: each point "
+            "costs three crossing solves, up to eight times over after "
+            "m-grid densification"
+        ),
+    )
     path: str = "harmonic"
     curves: CurvesConfig | None = None
 

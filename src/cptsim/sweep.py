@@ -247,7 +247,8 @@ def find_ips_and_pzds(
     grid is checked for isolation by midpoint densification: if either root
     count changes, the densified grid is adopted (up to `max_refine` times).
     Internal crossings are solved far tighter than the public default so the
-    central difference stays clean.
+    central difference stays clean.  `family` is called once per distinct m.
+    A BracketError names the m and the power scale at which it occurred.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -257,19 +258,31 @@ def find_ips_and_pzds(
     if not 0.0 < power_step < 0.1:
         raise ParameterError(f"power_step must be in (0, 0.1), got {power_step}")
 
+    spectra: dict[float, FieldSpectrum] = {}
+
+    def spectrum_at(m: float) -> FieldSpectrum:
+        if m not in spectra:
+            spectra[m] = family(m)
+        return spectra[m]
+
     def delta0_at(m: float, power_scale: float) -> float:
-        spectrum = family(m)
+        spectrum = spectrum_at(m)
         if power_scale != 1.0:
             spectrum = spectrum.scaled(power_scale)
         gt = derive_couplings(atom, spectrum).Gamma_g_tilde
-        return zero_crossing(
-            atom, spectrum, modulation, path, cell, settings,
-            bracket=(-gt, gt), xtol=1e-8 * gt,
-            allow_asymmetric=allow_asymmetric,
-        )
+        try:
+            return zero_crossing(
+                atom, spectrum, modulation, path, cell, settings,
+                bracket=(-gt, gt), xtol=1e-8 * gt,
+                allow_asymmetric=allow_asymmetric,
+            )
+        except BracketError as exc:
+            raise BracketError(
+                f"at m = {m:.12g}, power scale {power_scale:.12g}: {exc}"
+            ) from exc
 
     def derivative_at(m: float) -> float:
-        E2 = family(m).total_power
+        E2 = spectrum_at(m).total_power
         up = delta0_at(m, 1.0 + power_step)
         dn = delta0_at(m, 1.0 - power_step)
         return (up - dn) / (2.0 * power_step * E2)
@@ -341,7 +354,7 @@ def find_ips_and_pzds(
     records = tuple(
         SweepRecord(
             m=m,
-            E2=family(m).total_power,
+            E2=spectrum_at(m).total_power,
             delta0=delta0s[i],
             dDelta0_dE2=derivs[i],
             near_ip=i in near_ip,

@@ -2,9 +2,10 @@
 
 Reference path for the whole simulator: integrates the reduced equations of
 motion for (rho22, rho11, rho21) with the explicitly time-dependent
-two-photon detuning 2*delta_tilde + 2 a omega_m cos(omega_m t), discards the
-transient, and demodulates the absorption trace kappa(t) with a software
-lock-in.  Everything else in the package is validated against this path.
+two-photon detuning 2*delta_tilde + 2 a omega_m cos(omega_m t) as the
+periodic orbit of the RK4 map over one modulation period, and demodulates
+the absorption trace kappa(t) with a software lock-in.  Everything else in
+the package is validated against this path.
 
 Also hosts the full double-lambda steady state (`steady_state_full_lambda`):
 the 4-level density matrix under resonant bichromatic drive without
@@ -52,16 +53,14 @@ class GroundState:
 
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Grid and duration controls for `integrate_ground_state`.
+    """Grid controls for `integrate_ground_state`.
 
-    `None` fields are resolved automatically from the working parameters:
-    the step obeys dt <= (2 pi / omega_m)/200 and dt <= 0.02/Gamma_g_tilde,
-    the transient covers at least 5 modulation periods and 10/Gamma_g_tilde.
-    Explicit values below those floors are rejected at integration time.
+    `steps_per_period = None` is resolved from the working parameters: the
+    step obeys dt <= (2 pi / omega_m)/200 and dt <= 0.02/Gamma_g_tilde.  An
+    explicit value below that floor is rejected at integration time.
     """
 
     steps_per_period: int | None = None
-    transient_periods: int | None = None
     n_periods: int = 4
 
     def __post_init__(self) -> None:
@@ -69,17 +68,13 @@ class IntegrationSettings:
             raise ParameterError(
                 f"steps_per_period must be >= 200, got {self.steps_per_period}"
             )
-        if self.transient_periods is not None and self.transient_periods < 5:
-            raise ParameterError(
-                f"transient_periods must be >= 5, got {self.transient_periods}"
-            )
         if self.n_periods < 1:
             raise ParameterError(f"n_periods must be >= 1, got {self.n_periods}")
 
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Post-transient trace on a uniform grid spanning integer periods.
+    """Periodic steady-state trace on a uniform grid spanning integer periods.
 
     t[0] = 0 coincides with a zero of the drive phase omega_m t, so the
     modulated detuning starts at its maximum.
@@ -133,33 +128,63 @@ def absorption(
     )
 
 
-def _resolve_settings(
-    settings: IntegrationSettings | None,
-    omega_m: float,
-    Gamma_g_tilde: float,
-) -> tuple[int, int, int]:
-    T_m = 2.0 * math.pi / omega_m
-    spp_floor = max(200, math.ceil(T_m * Gamma_g_tilde / 0.02))
-    transient_floor = max(5, math.ceil(10.0 / (Gamma_g_tilde * T_m)))
-    if settings is None:
-        settings = IntegrationSettings()
+def _steps_per_period(
+    settings: IntegrationSettings, omega_m: float, Gamma_g_tilde: float
+) -> int:
+    floor = max(200, math.ceil(2.0 * math.pi / omega_m * Gamma_g_tilde / 0.02))
     spp = settings.steps_per_period
     if spp is None:
-        spp = spp_floor
-    elif spp < spp_floor:
+        return floor
+    if spp < floor:
         raise ParameterError(
             f"steps_per_period = {spp} gives dt > 0.02/Gamma_g_tilde; "
-            f"need >= {spp_floor} for these parameters"
+            f"need >= {floor} for these parameters"
         )
-    transient = settings.transient_periods
-    if transient is None:
-        transient = transient_floor
-    elif transient < transient_floor:
-        raise ParameterError(
-            f"transient_periods = {transient} is shorter than 10/Gamma_g_tilde; "
-            f"need >= {transient_floor} for these parameters"
-        )
-    return spp, transient, settings.n_periods
+    return spp
+
+
+def _rk4_step_maps(
+    c: DerivedCouplings, omega_m: float, x0: float, x1: float, h: float, spp: int
+) -> np.ndarray:
+    """RK4 step maps of one period on y = (rho22, Re rho21, Im rho21, 1).
+
+    The equations are y' = A(t) y with A(t) = A0 + x(t) B and the dressed
+    detuning x(t) = x0 + x1 cos(omega_m t).  Step n maps y(t_n) to
+    y(t_n + h), t_n = n h, with A taken at t_n, t_n + h/2 and t_n + h.
+    Returns the `spp` maps as an (spp, 4, 4) array.
+    """
+    gt, K = c.Gamma_g_tilde, c.K
+    Gg = gt - c.V_L - c.V_R
+    A0 = np.array([
+        [-gt, 0.0, 2.0 * K, c.V_R + 0.5 * Gg],
+        [0.0, -gt, 0.0, c.V_LR],
+        [-2.0 * K, 0.0, -gt, K],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    x = x0 + x1 * np.cos(omega_m * (0.5 * h) * np.arange(2 * spp + 1))
+    A = np.repeat(A0[None], x.size, axis=0)
+    A[:, 1, 2] = -x
+    A[:, 2, 1] = x
+    A_start, A_mid, A_end = A[0:-1:2], A[1::2], A[2::2]
+    eye = np.eye(4)
+    k2 = A_mid @ (eye + 0.5 * h * A_start)
+    k3 = A_mid @ (eye + 0.5 * h * k2)
+    k4 = A_end @ (eye + h * k3)
+    return eye + (h / 6.0) * (A_start + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _prefix_products(maps: np.ndarray) -> np.ndarray:
+    """P[n] = maps[n] @ ... @ maps[0], by a Hillis-Steele scan.
+
+    Each of the log2(len) rounds is one batched matrix product, and P[-1],
+    the ordered product of all maps, comes out of pairwise partial products.
+    """
+    P = maps.copy()
+    d = 1
+    while d < len(P):
+        P[d:] = P[d:] @ P[:-d]
+        d *= 2
+    return P
 
 
 def integrate_ground_state(
@@ -169,73 +194,38 @@ def integrate_ground_state(
     delta: float,
     settings: IntegrationSettings | None = None,
 ) -> TimeTrace:
-    """Integrate the reduced model and return the post-transient trace.
+    """Periodic steady state of the reduced model under fixed-step RK4.
 
     `delta` is half the two-photon detuning from the unperturbed 0-0
-    resonance; the light shifts are assembled internally.  Starts from the
-    relaxation equilibrium rho22 = rho11 = 1/2, rho21 = 0, integrates an
-    integer number of transient periods with fixed-step 4th-order
-    Runge-Kutta, then records `n_periods` periods (endpoint included).
+    resonance; the light shifts are assembled internally.  The equations are
+    affine in the state, so one modulation period of 4th-order Runge-Kutta
+    steps is an affine map; its fixed point is the periodic orbit that a
+    transient would relax to.  rho22 + rho11 relaxes to 1 and RK4 keeps
+    linear invariants, so on that orbit rho11 = 1 - rho22 exactly and the
+    map acts on (rho22, Re rho21, Im rho21, 1).  Returns `n_periods` periods
+    of the orbit (endpoint included), starting at t = 0.
     """
     c = derive_couplings(atom, spectrum)
     wm = modulation.omega_m
-    spp, transient, n_periods = _resolve_settings(settings, wm, c.Gamma_g_tilde)
+    if settings is None:
+        settings = IntegrationSettings()
+    spp = _steps_per_period(settings, wm, c.Gamma_g_tilde)
+    n_periods = settings.n_periods
+    h = 2.0 * math.pi / wm / spp
 
-    sd = 2.0 * delta + c.delta_r + c.delta_nr
-    two_aw = 2.0 * modulation.a * wm
-    V_L, V_R, V_LR, K = c.V_L, c.V_R, c.V_LR, c.K
-    gt = c.Gamma_g_tilde
-    Gg = gt - V_L - V_R
-    T_m = 2.0 * math.pi / wm
-    h = T_m / spp
-    cos = math.cos
+    maps = _rk4_step_maps(
+        c, wm, 2.0 * delta + c.delta_r + c.delta_nr, 2.0 * modulation.a * wm, h, spp
+    )
+    P = _prefix_products(maps)
+    # y(0) = P[-1] y(0): a 3x3 solve for the periodic orbit
+    y0 = np.linalg.solve(np.eye(3) - P[-1, :3, :3], P[-1, :3, 3])
+    period = np.empty((spp, 3))
+    period[0] = y0
+    period[1:] = P[:-1, :3, :3] @ y0 + P[:-1, :3, 3]
+    rho22, re21, im21 = np.vstack([np.tile(period, (n_periods, 1)), y0]).T
 
-    def deriv(t: float, p2: float, p1: float, u: float, v: float):
-        x = sd + two_aw * cos(wm * t)
-        return (
-            V_R * p1 - V_L * p2 + 2.0 * K * v - Gg * (p2 - 0.5),
-            V_L * p2 - V_R * p1 - 2.0 * K * v - Gg * (p1 - 0.5),
-            -x * v - gt * u + V_LR,
-            x * u - gt * v - K * (p2 - p1),
-        )
-
-    n_rec = n_periods * spp + 1
-    rho22 = np.empty(n_rec)
-    rho11 = np.empty(n_rec)
-    re21 = np.empty(n_rec)
-    im21 = np.empty(n_rec)
-
-    p2, p1, u, v = 0.5, 0.5, 0.0, 0.0
-    n_total = (transient + n_periods) * spp
-    n_skip = transient * spp
-    rec = 0
-    t = -transient * T_m
-    for step in range(n_total + 1):
-        if step >= n_skip:
-            rho22[rec] = p2
-            rho11[rec] = p1
-            re21[rec] = u
-            im21[rec] = v
-            rec += 1
-        if step == n_total:
-            break
-        k1 = deriv(t, p2, p1, u, v)
-        k2 = deriv(t + 0.5 * h, p2 + 0.5 * h * k1[0], p1 + 0.5 * h * k1[1],
-                   u + 0.5 * h * k1[2], v + 0.5 * h * k1[3])
-        k3 = deriv(t + 0.5 * h, p2 + 0.5 * h * k2[0], p1 + 0.5 * h * k2[1],
-                   u + 0.5 * h * k2[2], v + 0.5 * h * k2[3])
-        k4 = deriv(t + h, p2 + h * k3[0], p1 + h * k3[1],
-                   u + h * k3[2], v + h * k3[3])
-        p2 += h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-        p1 += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-        u += h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0
-        v += h * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]) / 6.0
-        t += h
-
-    # Time is relabeled so t=0 is the first recorded sample; the transient
-    # spans integer periods, so the drive phase is unchanged.
-    times = np.arange(n_rec) * h
-    rho21 = re21 + 1j * im21
+    times = np.arange(n_periods * spp + 1) * h
+    rho11 = 1.0 - rho22
     pref = 2.0 * c.P / (atom.gamma * atom.Gamma)
     kappa = pref * (
         c.calV_L**2 * rho22 + c.calV_R**2 * rho11 - 2.0 * c.calV_L * c.calV_R * re21
@@ -244,7 +234,7 @@ def integrate_ground_state(
         t=times,
         rho22=rho22,
         rho11=rho11,
-        rho21=rho21,
+        rho21=re21 + 1j * im21,
         kappa=kappa,
         omega_m=wm,
         dt=h,

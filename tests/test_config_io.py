@@ -129,6 +129,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="points >= 3"):
             parse_config(bad)
 
+    def test_points_bounded(self):
+        assert parse_config(BASE_YAML.replace("points: 9", "points: 1000"))
+        with pytest.raises(ConfigError, match="sweep.points"):
+            parse_config(BASE_YAML.replace("points: 9", "points: 1001"))
+
     def test_descending_range_rejected(self):
         bad = BASE_YAML.replace("stop: 2.8", "stop: 1.5")
         with pytest.raises(ConfigError, match="must exceed start"):
@@ -277,6 +282,12 @@ class TestCli:
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate", "trace"])
+    def test_unreadable_path_exits_2(self, tmp_path, capsys, command):
+        # a directory exists but cannot be read as a file
+        assert main([command, str(tmp_path)]) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
 
     def test_run_prints_written_paths(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CPTSIM_OUT_DIR", raising=False)

@@ -1,6 +1,8 @@
 """Zero crossings, IP/PZD mapping, symmetrizing detuning, servo emulation."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
 )
 from scipy.optimize import brentq
 
+from cptsim import sweep
 from cptsim import (
     BracketError,
     CellParams,
@@ -162,6 +165,27 @@ class TestFindIpsAndPzds:
         a = find_ips_and_pzds(atom, mod, family, grid, path="linearized")
         b = find_ips_and_pzds(atom, mod, family, grid, path="linearized")
         assert a == b
+
+    def test_bracket_error_names_m_and_power_scale(self, atom, monkeypatch):
+        # shrink the crossing bracket (+-Gamma_g_tilde) of the raised-power
+        # solves only, so the sweep fails at its first power step
+        family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+
+        def narrow(atom, spectrum):
+            c = derive_couplings(atom, spectrum)
+            if spectrum.total_power > POWER * (1.0 + 1e-9):
+                c = dataclasses.replace(c, Gamma_g_tilde=1e-6 * c.Gamma_g_tilde)
+            return c
+
+        monkeypatch.setattr(sweep, "derive_couplings", narrow)
+        with pytest.raises(BracketError) as info:
+            find_ips_and_pzds(atom, mod, family, [2.0, 2.4, 2.8], path="harmonic")
+        msg = str(info.value)
+        assert msg.startswith("at m = 2, power scale 1.001: no crossing in bracket")
+        assert re.search(r"S\(lo\) = \S+, S\(hi\) = \S+$", msg)
+        assert isinstance(info.value.__cause__, BracketError)
 
     def test_grid_validation(self, atom):
         family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)

@@ -36,6 +36,48 @@ def dressed_center(atom, spectrum) -> float:
     return -(c.delta_r + c.delta_nr) / 2.0
 
 
+def rk4_loop(atom, spectrum, modulation, delta, start, t0, h, n_steps):
+    """Step (rho22, rho11, Re rho21, Im rho21) by scalar fixed-step RK4.
+
+    An independent statement of the reduced equations that
+    `integrate_ground_state` solves; returns the n_steps + 1 states.
+    """
+    c = derive_couplings(atom, spectrum)
+    sd = 2.0 * delta + c.delta_r + c.delta_nr
+    wm = modulation.omega_m
+    two_aw = 2.0 * modulation.a * wm
+    gt, K = c.Gamma_g_tilde, c.K
+    Gg = gt - c.V_L - c.V_R
+
+    def deriv(t, y):
+        p2, p1, u, v = y
+        x = sd + two_aw * math.cos(wm * t)
+        return (
+            c.V_R * p1 - c.V_L * p2 + 2.0 * K * v - Gg * (p2 - 0.5),
+            c.V_L * p2 - c.V_R * p1 - 2.0 * K * v - Gg * (p1 - 0.5),
+            -x * v - gt * u + c.V_LR,
+            x * u - gt * v - K * (p2 - p1),
+        )
+
+    def ahead(y, k, f):
+        return tuple(yi + f * ki for yi, ki in zip(y, k))
+
+    y, t = tuple(start), t0
+    out = [y]
+    for _ in range(n_steps):
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, ahead(y, k1, 0.5 * h))
+        k3 = deriv(t + 0.5 * h, ahead(y, k2, 0.5 * h))
+        k4 = deriv(t + h, ahead(y, k3, h))
+        y = tuple(
+            yi + h * (d1 + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
+            for yi, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+        )
+        t += h
+        out.append(y)
+    return np.array(out)
+
+
 def synthetic_trace(S=0.7, Q=-0.3, const=2.0, n_periods=4, spp=800, omega_m=1.0):
     t = np.arange(n_periods * spp + 1) * (2.0 * math.pi / omega_m / spp)
     kappa = const + S * np.cos(omega_m * t) + Q * np.sin(omega_m * t)
@@ -88,8 +130,6 @@ class TestIntegration:
         with pytest.raises(ParameterError):
             IntegrationSettings(steps_per_period=100)
         with pytest.raises(ParameterError):
-            IntegrationSettings(transient_periods=2)
-        with pytest.raises(ParameterError):
             IntegrationSettings(n_periods=0)
         # explicit values below the parameter-dependent floors are rejected
         spec = make_spectrum()
@@ -98,11 +138,6 @@ class TestIntegration:
         with pytest.raises(ParameterError, match="steps_per_period"):
             integrate_ground_state(
                 atom, spec, mod, 0.0, IntegrationSettings(steps_per_period=200)
-            )
-        slow = ModulationParams(a=0.2, omega_m=5.0 * gt)
-        with pytest.raises(ParameterError, match="transient_periods"):
-            integrate_ground_state(
-                atom, spec, slow, 0.0, IntegrationSettings(transient_periods=5)
             )
 
     def test_grid_shape_and_population_sum(self, atom):
@@ -118,30 +153,50 @@ class TestIntegration:
         assert np.max(np.abs(trace.rho22 + trace.rho11 - 1.0)) < 1e-9
         assert np.max(np.abs(trace.rho21)) <= 0.5 + 1e-9
 
-    def test_periodic_after_transient(self, atom):
+    def test_orbit_is_a_fixed_point_of_one_rk4_period(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.2)
         gt = derive_couplings(atom, spec).Gamma_g_tilde
-        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
-        trace = integrate_ground_state(atom, spec, mod, dressed_center(atom, spec))
-        spp = round(2.0 * math.pi / mod.omega_m / trace.dt)
-        first = trace.kappa[:spp]
-        last = trace.kappa[(trace.n_periods - 1) * spp : trace.n_periods * spp]
-        swing = trace.kappa.max() - trace.kappa.min()
-        assert np.max(np.abs(first - last)) < 1e-5 * swing
+        for w_frac, off in ((0.5, 0.0), (0.25, 0.1), (1.0, -0.2)):
+            mod = make_modulation(a=0.2, omega_m=w_frac * gt)
+            delta = dressed_center(atom, spec) + off * gt
+            trace = integrate_ground_state(atom, spec, mod, delta)
+            spp = round(2.0 * math.pi / mod.omega_m / trace.dt)
+            s0 = trace.state(0)
+            start = (s0.rho22, s0.rho11, s0.rho21.real, s0.rho21.imag)
+            states = rk4_loop(atom, spec, mod, delta, start, 0.0, trace.dt, spp)
+            assert np.max(np.abs(states[-1] - states[0])) < 1e-12
+            # the orbit's samples are the loop's, not only its endpoint
+            sm = trace.state(spp // 2)
+            mid = (sm.rho22, sm.rho11, sm.rho21.real, sm.rho21.imag)
+            assert np.max(np.abs(states[spp // 2] - mid)) < 1e-12
 
-    def test_transient_doubling_changes_nothing(self, atom):
+    def test_lockin_equals_transient_loop(self, atom):
+        # the periodic orbit is what a long transient relaxes to: 40 periods
+        # from the relaxation equilibrium leave far less than e^-100
         spec = make_spectrum(m=2.4, epsilon=0.2)
         gt = derive_couplings(atom, spec).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
         delta = dressed_center(atom, spec) + 0.1 * gt
-        short = lockin(integrate_ground_state(atom, spec, mod, delta))
-        long = lockin(
-            integrate_ground_state(
-                atom, spec, mod, delta, IntegrationSettings(transient_periods=10)
-            )
+        trace = integrate_ground_state(atom, spec, mod, delta)
+        spp = round(2.0 * math.pi / mod.omega_m / trace.dt)
+        transient, n_periods = 40, trace.n_periods
+        states = rk4_loop(
+            atom, spec, mod, delta, (0.5, 0.5, 0.0, 0.0),
+            -transient * 2.0 * math.pi / mod.omega_m, trace.dt,
+            (transient + n_periods) * spp,
+        )[transient * spp:]
+        c = derive_couplings(atom, spec)
+        pref = 2.0 * c.P / (atom.gamma * atom.Gamma)
+        p2, p1, u, v = states.T
+        kappa = pref * (c.calV_L**2 * p2 + c.calV_R**2 * p1
+                        - 2.0 * c.calV_L * c.calV_R * u)
+        looped = TimeTrace(
+            t=trace.t, rho22=p2, rho11=p1, rho21=u + 1j * v, kappa=kappa,
+            omega_m=mod.omega_m, dt=trace.dt, n_periods=n_periods,
         )
-        assert long.S == pytest.approx(short.S, rel=1e-3)
-        assert long.Q == pytest.approx(short.Q, rel=1e-3)
+        ref, res = lockin(looped), lockin(trace)
+        assert res.S == pytest.approx(ref.S, rel=1e-9)
+        assert res.Q == pytest.approx(ref.Q, rel=1e-9)
 
     def test_modulation_off_settles_to_dark_resonance(self, sym_atom):
         spec = make_spectrum(m=2.4, epsilon=0.0)
