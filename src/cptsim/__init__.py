@@ -40,16 +40,12 @@ from .sweep import (
     bessel_family,
     find_ips_and_pzds,
     make_signal_function,
+    power_slope,
     servo_lock_experiment,
     symmetrizing_detuning,
     zero_crossing,
 )
-from .thick import (
-    CellParams,
-    averaged_signal,
-    thick_ip_residual,
-    thick_zero_crossing,
-)
+from .thick import CellParams, averaged_signal
 from .timedomain import (
     FullLambdaState,
     GroundState,
@@ -89,13 +85,12 @@ __all__ = [
     "bessel_family",
     "find_ips_and_pzds",
     "make_signal_function",
+    "power_slope",
     "servo_lock_experiment",
     "symmetrizing_detuning",
     "zero_crossing",
     "CellParams",
     "averaged_signal",
-    "thick_ip_residual",
-    "thick_zero_crossing",
     "FullLambdaState",
     "GroundState",
     "IntegrationSettings",

@@ -23,8 +23,13 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .config import ScenarioConfig
-from .core import FieldSpectrum, derive_couplings
-from .sweep import SweepResult, bessel_family, find_ips_and_pzds, zero_crossing
+from .sweep import (
+    SweepResult,
+    bessel_family,
+    find_ips_and_pzds,
+    power_slope,
+    sweep_crossing,
+)
 
 __all__ = ["RunResult", "emit_csv", "run_scenario"]
 
@@ -65,25 +70,6 @@ def emit_csv(path: str, fieldnames: Sequence[str], rows: Iterable[Sequence]) -> 
                     f"width {len(fieldnames)}"
                 )
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _delta0_and_derivative(
-    atom, spectrum: FieldSpectrum, modulation, path, cell, power_step=1e-3
-) -> tuple[float, float]:
-    """Zero crossing and its power derivative at one configuration."""
-    gt = derive_couplings(atom, spectrum).Gamma_g_tilde
-    kw = dict(path=path, cell=cell, xtol=1e-8 * gt, allow_asymmetric=True)
-    d0 = zero_crossing(atom, spectrum, modulation, bracket=(-gt, gt), **kw)
-    up = zero_crossing(
-        atom, spectrum.scaled(1.0 + power_step), modulation,
-        bracket=(-gt, gt), **kw,
-    )
-    dn = zero_crossing(
-        atom, spectrum.scaled(1.0 - power_step), modulation,
-        bracket=(-gt, gt), **kw,
-    )
-    dE2 = 2.0 * power_step * spectrum.total_power
-    return d0, (up - dn) / dE2
 
 
 def _grid(start: float, stop: float, points: int) -> list[float]:
@@ -150,39 +136,24 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         axis_grid: list[float] = list(grid)
 
         if sweep.axis == "m":
-            if not grid:
-                emit_csv(
-                    records_path,
-                    ["m", "E2", "delta0_hz", "dDelta0_dE2"],
-                    [],
+            rows: list[tuple] = []
+            root_rows: list[tuple] = []
+            if grid:  # an empty grid writes header-only files
+                result: SweepResult = find_ips_and_pzds(
+                    atom, modulation, family, grid,
+                    path=sweep.path, cell=cell,
                 )
-                roots_path = os.path.join(out, f"{prefix}{suffix}_roots.csv")
-                emit_csv(
-                    roots_path,
-                    ["kind", "m", "delta0_hz", "nearest_pzd_m", "m_gap"],
-                    [],
-                )
-                csv_paths.append(records_path)
-                roots_paths.append(roots_path)
-                manifest_curves.append(
-                    {"curve": {curve_key: curve_value} if curve_key else {},
-                     "grid": [], "records": records_path, "roots": roots_path}
-                )
-                continue
-            result: SweepResult = find_ips_and_pzds(
-                atom, modulation, family, grid,
-                path=sweep.path, cell=cell,
-            )
-            rows = [
-                (r.m, r.E2, r.delta0 / TWO_PI, r.dDelta0_dE2)
-                for r in result.records
-            ]
+                rows = [
+                    (r.m, r.E2, r.delta0 / TWO_PI, r.dDelta0_dE2)
+                    for r in result.records
+                ]
+                root_rows = [
+                    ("IP", ip.m, ip.delta0 / TWO_PI, ip.nearest_pzd_m, ip.m_gap)
+                    for ip in result.ip_roots
+                ] + [("PZD", m, 0.0, None, None) for m in result.pzd_roots]
+                axis_grid = [r.m for r in result.records]
             emit_csv(records_path, ["m", "E2", "delta0_hz", "dDelta0_dE2"], rows)
             roots_path = os.path.join(out, f"{prefix}{suffix}_roots.csv")
-            root_rows: list[tuple] = [
-                ("IP", ip.m, ip.delta0 / TWO_PI, ip.nearest_pzd_m, ip.m_gap)
-                for ip in result.ip_roots
-            ] + [("PZD", m, 0.0, None, None) for m in result.pzd_roots]
             emit_csv(
                 roots_path,
                 ["kind", "m", "delta0_hz", "nearest_pzd_m", "m_gap"],
@@ -190,7 +161,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             )
             csv_paths.append(records_path)
             roots_paths.append(roots_path)
-            axis_grid = [r.m for r in result.records]
         else:
             axis_col = {
                 "omega_m": "omega_m_hz",
@@ -211,9 +181,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                     spectrum = spec_cfg.to_spectrum(Omega, epsilon=value)
                 elif sweep.axis == "power":
                     spectrum = spectrum.scaled(value)
-                d0, dd = _delta0_and_derivative(
-                    atom, spectrum, mod_v, sweep.path, cell_v
-                )
+                kw = dict(path=sweep.path, cell=cell_v, allow_asymmetric=True)
+                d0 = sweep_crossing(atom, spectrum, mod_v, **kw)
+                dd = power_slope(atom, spectrum, mod_v, **kw)
                 rows.append((value, spectrum.total_power, d0 / TWO_PI, dd))
             emit_csv(
                 records_path,

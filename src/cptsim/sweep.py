@@ -44,11 +44,19 @@ from .harmonic import (
 from .thick import CellParams, averaged_signal, slab_couplings
 from .timedomain import IntegrationSettings, integrate_ground_state, lockin
 
+# Relative power step of `power_slope`, and the tolerance of every sweep
+# crossing in units of its spectrum's Gamma_g_tilde: far below the public
+# default, so root-finder noise stays small against the difference.
+POWER_STEP = 1e-3
+SWEEP_XTOL = 1e-8
+
 __all__ = [
     "SignalPath",
     "BracketError",
     "make_signal_function",
     "zero_crossing",
+    "sweep_crossing",
+    "power_slope",
     "bessel_family",
     "SweepRecord",
     "IpRoot",
@@ -129,9 +137,11 @@ def zero_crossing(
     signals are affine in delta, so their crossing is solved in closed form
     (to rounding, whatever `xtol`); the other paths use Brent's method.
     Raises BracketError with the endpoint signal values when there is no
-    sign change.
+    sign change, and ParameterError when the signal is zero at both ends
+    (a flat signal, e.g. a = 0, has no crossing).
     """
-    gt = derive_couplings(atom, spectrum).Gamma_g_tilde
+    couplings = derive_couplings(atom, spectrum)
+    gt = couplings.Gamma_g_tilde
     if bracket is None:
         bracket = (-gt, gt)
     if xtol is None:
@@ -143,15 +153,18 @@ def zero_crossing(
         atom, spectrum, modulation, path, cell, settings, allow_asymmetric
     )
     if path in ("linearized", "thick"):
-        if path == "linearized":
-            couplings = derive_couplings(atom, spectrum)
-        else:
+        if path == "thick":
             couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
         root = closed_form_crossing(atom, couplings, modulation)
         if lo <= root <= hi:
             return root
-        # outside the bracket (or no slope): the endpoint check below reports it
+        # outside the bracket (or no slope): the endpoint checks below report it
     S_lo, S_hi = signal(lo), signal(hi)
+    if S_lo == 0.0 and S_hi == 0.0:
+        raise ParameterError(
+            "the in-phase signal is 0 at both bracket ends, so it has no slope "
+            f"in delta (modulation index a = {modulation.a})"
+        )
     if S_lo == 0.0:
         return lo
     if S_hi == 0.0:
@@ -163,6 +176,54 @@ def zero_crossing(
         )
     root = brentq(signal, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps)
     return float(root)
+
+
+def sweep_crossing(
+    atom: AtomParams,
+    spectrum: FieldSpectrum,
+    modulation: ModulationParams,
+    path: SignalPath = "harmonic",
+    cell: CellParams | None = None,
+    settings: IntegrationSettings | None = None,
+    allow_asymmetric: bool = False,
+) -> float:
+    """`zero_crossing` solved to SWEEP_XTOL of the spectrum's own Gamma_g_tilde."""
+    gt = derive_couplings(atom, spectrum).Gamma_g_tilde
+    return zero_crossing(
+        atom, spectrum, modulation, path, cell, settings,
+        xtol=SWEEP_XTOL * gt, allow_asymmetric=allow_asymmetric,
+    )
+
+
+def power_slope(
+    atom: AtomParams,
+    spectrum: FieldSpectrum,
+    modulation: ModulationParams,
+    path: SignalPath = "harmonic",
+    cell: CellParams | None = None,
+    settings: IntegrationSettings | None = None,
+    allow_asymmetric: bool = False,
+) -> float:
+    """Power sensitivity d(delta_0)/dE^2 of the zero crossing.
+
+    Every spectral component is scaled uniformly by 1 +- POWER_STEP, so the
+    power fractions sigma_k stay fixed, and the two crossings (each a
+    `sweep_crossing`) give the central difference.  Insensitivity points
+    are its roots over the spectrum-family parameter.  Units: (rad/s) per
+    unit of E^2 in rad^2/s^2.  A BracketError names the power scale at
+    which it occurred.
+    """
+    crossings = []
+    for scale in (1.0 + POWER_STEP, 1.0 - POWER_STEP):
+        try:
+            crossings.append(sweep_crossing(
+                atom, spectrum.scaled(scale), modulation, path, cell, settings,
+                allow_asymmetric,
+            ))
+        except BracketError as exc:
+            raise BracketError(f"power scale {scale:.12g}: {exc}") from exc
+    up, dn = crossings
+    return (up - dn) / (2.0 * POWER_STEP * spectrum.total_power)
 
 
 def bessel_family(
@@ -233,30 +294,25 @@ def find_ips_and_pzds(
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
     settings: IntegrationSettings | None = None,
-    power_step: float = 1e-3,
     max_refine: int = 3,
     allow_asymmetric: bool = True,
 ) -> SweepResult:
     """Locate every IP and PZD of a spectrum family over an m-grid.
 
-    At each grid point the zero crossing delta_0 is solved at nominal power
-    and at power scaled by 1 +- `power_step` (all components uniformly, so
-    the power fractions sigma_k stay fixed), giving dDelta0_dE2 by central
-    difference.  Sign changes of the derivative mark IPs, sign changes of
-    delta_0 mark PZDs; each is refined by bracketed root finding in m.  The
-    grid is checked for isolation by midpoint densification: if either root
-    count changes, the densified grid is adopted (up to `max_refine` times).
-    Internal crossings are solved far tighter than the public default so the
-    central difference stays clean.  `family` is called once per distinct m.
-    A BracketError names the m and the power scale at which it occurred.
+    At each grid point the zero crossing delta_0 (`sweep_crossing`) and its
+    power slope dDelta0_dE2 (`power_slope`) are solved.  Sign changes of the
+    slope mark IPs, sign changes of delta_0 mark PZDs; each is refined by
+    bracketed root finding in m.  The grid is checked for isolation by
+    midpoint densification: if either root count changes, the densified
+    grid is adopted (up to `max_refine` times).  `family` is called once
+    per distinct m.  A BracketError names the m and the power scale at
+    which it occurred.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
         raise ParameterError("m_grid needs at least 3 points")
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ParameterError("m_grid must be strictly increasing")
-    if not 0.0 < power_step < 0.1:
-        raise ParameterError(f"power_step must be in (0, 0.1), got {power_step}")
 
     spectra: dict[float, FieldSpectrum] = {}
 
@@ -265,38 +321,31 @@ def find_ips_and_pzds(
             spectra[m] = family(m)
         return spectra[m]
 
-    def delta0_at(m: float, power_scale: float) -> float:
-        spectrum = spectrum_at(m)
-        if power_scale != 1.0:
-            spectrum = spectrum.scaled(power_scale)
-        gt = derive_couplings(atom, spectrum).Gamma_g_tilde
-        try:
-            return zero_crossing(
-                atom, spectrum, modulation, path, cell, settings,
-                bracket=(-gt, gt), xtol=1e-8 * gt,
-                allow_asymmetric=allow_asymmetric,
-            )
-        except BracketError as exc:
-            raise BracketError(
-                f"at m = {m:.12g}, power scale {power_scale:.12g}: {exc}"
-            ) from exc
+    def at_m(solve: Callable[..., float], scale: str) -> Callable[[float], float]:
+        """m -> `solve` on the spectrum at m; a BracketError is re-raised
+        naming m and, after it, the power scale text `scale`."""
+        def value(m: float) -> float:
+            try:
+                return solve(
+                    atom, spectrum_at(m), modulation, path, cell, settings,
+                    allow_asymmetric,
+                )
+            except BracketError as exc:
+                raise BracketError(f"at m = {m:.12g}, {scale}{exc}") from exc
+        return value
 
-    def derivative_at(m: float) -> float:
-        E2 = spectrum_at(m).total_power
-        up = delta0_at(m, 1.0 + power_step)
-        dn = delta0_at(m, 1.0 - power_step)
-        return (up - dn) / (2.0 * power_step * E2)
+    delta0_at = at_m(sweep_crossing, "power scale 1: ")
+    derivative_at = at_m(power_slope, "")
 
     def scan(grid: list[float]) -> tuple[list[float], list[float]]:
-        d0 = [delta0_at(m, 1.0) for m in grid]
+        d0 = [delta0_at(m) for m in grid]
         dd = [derivative_at(m) for m in grid]
         return d0, dd
 
     delta0s, derivs = scan(ms)
     for _ in range(max_refine):
         mids = [0.5 * (a + b) for a, b in zip(ms, ms[1:])]
-        mid_d0 = [delta0_at(m, 1.0) for m in mids]
-        mid_dd = [derivative_at(m) for m in mids]
+        mid_d0, mid_dd = scan(mids)
         dense_ms: list[float] = []
         dense_d0: list[float] = []
         dense_dd: list[float] = []
@@ -322,7 +371,7 @@ def find_ips_and_pzds(
     pzd_intervals = _sign_change_intervals(delta0s)
     for i in pzd_intervals:
         root = brentq(
-            lambda m: delta0_at(m, 1.0), ms[i], ms[i + 1],
+            delta0_at, ms[i], ms[i + 1],
             xtol=xtol_m, rtol=4.0 * np.finfo(float).eps,
         )
         pzd_roots.append(float(root))
@@ -335,7 +384,7 @@ def find_ips_and_pzds(
             xtol=xtol_m, rtol=4.0 * np.finfo(float).eps,
         )
         m_ip = float(root)
-        d0_ip = delta0_at(m_ip, 1.0)
+        d0_ip = delta0_at(m_ip)
         if pzd_roots:
             nearest = min(pzd_roots, key=lambda p: abs(p - m_ip))
             gap = m_ip - nearest

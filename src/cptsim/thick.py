@@ -18,7 +18,6 @@ every slab at once as numpy arrays over z, and the closed form of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .core import (
     nonresonant_shift_components,
     require_finite,
 )
-from .harmonic import closed_form_crossing, closed_form_signals
+from .harmonic import closed_form_signals
 
 # perfbench/tracer.py counts per-slab calls through this binding; it stays
 # bound so the count reads 0 rather than missing.
@@ -44,8 +43,6 @@ __all__ = [
     "CellParams",
     "slab_couplings",
     "averaged_signal",
-    "thick_zero_crossing",
-    "thick_ip_residual",
 ]
 
 
@@ -136,49 +133,3 @@ def averaged_signal(
     """
     couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
     return closed_form_signals(atom, couplings, modulation, delta)
-
-
-def thick_zero_crossing(
-    atom: AtomParams,
-    spectrum: FieldSpectrum,
-    modulation: ModulationParams,
-    cell: CellParams,
-) -> float:
-    """Zero crossing of the cell-averaged signal, symmetric spectra only.
-
-    The averaged linearized signal is sum_i A_i (2 delta + delta_nr_i) at
-    detection phase 0, so the crossing sits at the A-weighted average
-    2 delta_0 = -sum_i A_i delta_nr_i / sum_i A_i (at another phase the
-    weights are the rotated slab gains).
-    """
-    couplings = slab_couplings(atom, spectrum, cell)
-    root = closed_form_crossing(atom, couplings, modulation)
-    if math.isnan(root):
-        raise ParameterError(
-            "the averaged in-phase signal has no slope in delta "
-            f"(modulation index a = {modulation.a})"
-        )
-    return root
-
-
-def thick_ip_residual(
-    atom: AtomParams,
-    spectrum: FieldSpectrum,
-    modulation: ModulationParams,
-    cell: CellParams,
-    rel_step: float = 1e-3,
-) -> float:
-    """Power sensitivity of the thick-medium zero crossing (symmetric case).
-
-    Returns -2 d(delta_0)/dE^2, the E^2-derivative of the weighted-average
-    shift sum_i A_i delta_nr_i / sum_i A_i, with d/dE^2 taken by scaling
-    every spectral component uniformly (central difference, relative step
-    `rel_step`).  Insensitivity points are the roots of this residual over
-    the spectrum-family parameter.  Units: (rad/s) per unit of E^2 in
-    rad^2/s^2.
-    """
-    if not 0.0 < rel_step < 0.1:
-        raise ParameterError(f"rel_step must be in (0, 0.1), got {rel_step}")
-    up = thick_zero_crossing(atom, spectrum.scaled(1.0 + rel_step), modulation, cell)
-    dn = thick_zero_crossing(atom, spectrum.scaled(1.0 - rel_step), modulation, cell)
-    return -2.0 * (up - dn) / (2.0 * rel_step * spectrum.total_power)

@@ -318,6 +318,18 @@ class TestCli:
         assert main(["run", path]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["harmonic", "linearized"])
+    def test_run_flat_signal_exits_1(self, tmp_path, capsys, path):
+        # a = 0 makes S identically 0; no crossing may be written for it
+        text = BASE_YAML.replace("a: 0.2", "a: 0.0").replace(
+            "path: linearized", f"path: {path}"
+        )
+        config = self.write_config(tmp_path, text)
+        assert main(["run", config, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"scenario {config} failed:" in err
+        assert "no slope in delta (modulation index a = 0.0)" in err
+
     def test_sym_detuning_prints_mhz(self, capsys):
         code = main(["sym-detuning", "--gamma", "1000", "--omega-e", "816.656"])
         assert code == 0

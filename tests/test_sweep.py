@@ -194,10 +194,6 @@ class TestFindIpsAndPzds:
             find_ips_and_pzds(atom, mod, family, [2.0, 2.8])
         with pytest.raises(ParameterError, match="strictly increasing"):
             find_ips_and_pzds(atom, mod, family, [2.0, 2.0, 2.8])
-        with pytest.raises(ParameterError, match="power_step"):
-            find_ips_and_pzds(
-                atom, mod, family, [2.0, 2.4, 2.8], power_step=0.5
-            )
 
 
 class TestSymmetrizingDetuning:

@@ -1,8 +1,9 @@
-"""Cell z-averaging: slab quadrature, thick roots, and the IP residual."""
+"""Cell z-averaging: slab quadrature, thick roots, and their power slope."""
 
 import math
 
 import pytest
+from scipy.optimize import brentq
 
 from conftest import make_atom, make_modulation, make_spectrum
 from cptsim import (
@@ -11,8 +12,7 @@ from cptsim import (
     averaged_signal,
     derive_couplings,
     linearized_signals,
-    thick_ip_residual,
-    thick_zero_crossing,
+    power_slope,
     zero_crossing,
 )
 
@@ -113,9 +113,10 @@ class TestThickRoots:
         mod = modulation_for(atom, spec)
         gt = derive_couplings(atom, spec).Gamma_g_tilde
         cell = CellParams(LENGTH, 0.43 / LENGTH, 64)
-        weighted = thick_zero_crossing(atom, spec, mod, cell)
-        brentq_root = zero_crossing(
-            atom, spec, mod, path="thick", cell=cell, xtol=1e-10 * gt
+        weighted = zero_crossing(atom, spec, mod, path="thick", cell=cell)
+        brentq_root = brentq(
+            lambda delta: averaged_signal(atom, spec, mod, cell, delta).S,
+            -gt, gt, xtol=1e-10 * gt,
         )
         assert weighted == pytest.approx(brentq_root, abs=1e-6 * gt)
 
@@ -124,9 +125,9 @@ class TestThickRoots:
         mod = modulation_for(atom, spec)
         c = derive_couplings(atom, spec)
         cell = CellParams(LENGTH, 0.0, 64)
-        assert thick_zero_crossing(atom, spec, mod, cell) == pytest.approx(
-            -c.delta_nr / 2.0, rel=1e-12
-        )
+        assert zero_crossing(
+            atom, spec, mod, path="thick", cell=cell
+        ) == pytest.approx(-c.delta_nr / 2.0, rel=1e-12)
 
     def test_thin_residual_equals_shift_slope(self, atom):
         # transparent cell: 2 delta_0 = -delta_nr and delta_nr scales with
@@ -135,19 +136,20 @@ class TestThickRoots:
         mod = modulation_for(atom, spec)
         c = derive_couplings(atom, spec)
         cell = CellParams(LENGTH, 0.0, 64)
-        res = thick_ip_residual(atom, spec, mod, cell)
+        res = -2.0 * power_slope(atom, spec, mod, path="thick", cell=cell)
         assert res == pytest.approx(c.delta_nr / spec.total_power, rel=1e-6)
 
     def test_absorption_splits_ip_from_pzd(self, atom):
-        # at the thin-limit PZD the thin residual vanishes; absorption
+        # at the thin-limit PZD the thin power slope vanishes; absorption
         # makes it finite, separating the two special points
         spec_pzd = make_spectrum(m=2.40483, epsilon=0.0)
         mod = modulation_for(atom, spec_pzd)
-        thin = thick_ip_residual(
-            atom, spec_pzd, mod, CellParams(LENGTH, 0.0, 64)
+        thin = power_slope(
+            atom, spec_pzd, mod, path="thick", cell=CellParams(LENGTH, 0.0, 64)
         )
-        thick = thick_ip_residual(
-            atom, spec_pzd, mod, CellParams(LENGTH, 0.43 / LENGTH, 64)
+        thick = power_slope(
+            atom, spec_pzd, mod, path="thick",
+            cell=CellParams(LENGTH, 0.43 / LENGTH, 64),
         )
         assert abs(thick) > 50.0 * abs(thin)
 
@@ -156,22 +158,21 @@ class TestThickRoots:
         mod = modulation_for(atom, spec)
         cell = CellParams(LENGTH, 0.163 / LENGTH, 64)
         with pytest.raises(ParameterError, match="E_-1"):
-            thick_zero_crossing(atom, spec, mod, cell)
+            zero_crossing(atom, spec, mod, path="thick", cell=cell)
         with pytest.raises(ParameterError, match="E_-1"):
-            thick_ip_residual(atom, spec, mod, cell)
+            power_slope(atom, spec, mod, path="thick", cell=cell)
 
     def test_flat_signal_has_no_crossing(self, atom):
-        spec = make_spectrum(m=2.3, epsilon=0.0)
-        mod = make_modulation(a=0.0, omega_m=1e3)
-        with pytest.raises(ParameterError, match="no slope"):
-            thick_zero_crossing(atom, spec, mod, CellParams(LENGTH, 0.43 / LENGTH))
-
-    def test_residual_step_validation(self, atom):
-        spec = make_spectrum(m=2.4, epsilon=0.0)
-        mod = modulation_for(atom, spec)
-        cell = CellParams(LENGTH, 0.0, 64)
-        with pytest.raises(ParameterError, match="rel_step"):
-            thick_ip_residual(atom, spec, mod, cell, rel_step=0.5)
+        # a = 0, or m = 0 where J_1 = 0, leaves S identically 0: no crossing,
+        # rather than a bracket end returned as one (the empty resonant pair
+        # at m = 0 needs the asymmetric opt-in on the thick path)
+        kw = dict(cell=CellParams(LENGTH, 0.43 / LENGTH), allow_asymmetric=True)
+        for m, a in ((2.3, 0.0), (0.0, 0.2)):
+            spec = make_spectrum(m=m, epsilon=0.0)
+            mod = make_modulation(a=a, omega_m=1e3)
+            for path in ("harmonic", "linearized", "thick"):
+                with pytest.raises(ParameterError, match=f"no slope.*a = {a}"):
+                    zero_crossing(atom, spec, mod, path, **kw)
 
 
 class TestCellParams:
