@@ -49,7 +49,6 @@ from .thick import CellParams, averaged_signal
 from .timedomain import (
     FullLambdaState,
     GroundState,
-    IntegrationSettings,
     TimeTrace,
     absorption,
     integrate_ground_state,
@@ -93,7 +92,6 @@ __all__ = [
     "averaged_signal",
     "FullLambdaState",
     "GroundState",
-    "IntegrationSettings",
     "TimeTrace",
     "absorption",
     "integrate_ground_state",

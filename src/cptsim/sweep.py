@@ -42,13 +42,15 @@ from .harmonic import (
     linearized_signals,
 )
 from .thick import CellParams, averaged_signal, slab_couplings
-from .timedomain import IntegrationSettings, integrate_ground_state, lockin
+from .timedomain import integrate_ground_state, lockin
 
 # Relative power step of `power_slope`, and the tolerance of every sweep
 # crossing in units of its spectrum's Gamma_g_tilde: far below the public
 # default, so root-finder noise stays small against the difference.
 POWER_STEP = 1e-3
 SWEEP_XTOL = 1e-8
+# Midpoint densifications `find_ips_and_pzds` may apply to its m-grid.
+MAX_REFINE = 3
 
 __all__ = [
     "SignalPath",
@@ -93,13 +95,12 @@ def make_signal_function(
     modulation: ModulationParams,
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
-    settings: IntegrationSettings | None = None,
     allow_asymmetric: bool = False,
 ) -> Callable[[float], float]:
     """In-phase signal S as a function of the detuning delta, on one path."""
     if path == "time-domain":
         def signal(delta: float) -> float:
-            trace = integrate_ground_state(atom, spectrum, modulation, delta, settings)
+            trace = integrate_ground_state(atom, spectrum, modulation, delta)
             return lockin(trace, modulation.alpha).S
     elif path == "harmonic":
         def signal(delta: float) -> float:
@@ -125,7 +126,6 @@ def zero_crossing(
     modulation: ModulationParams,
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
-    settings: IntegrationSettings | None = None,
     bracket: tuple[float, float] | None = None,
     xtol: float | None = None,
     allow_asymmetric: bool = False,
@@ -138,7 +138,7 @@ def zero_crossing(
     (to rounding, whatever `xtol`); the other paths use Brent's method.
     Raises BracketError with the endpoint signal values when there is no
     sign change, and ParameterError when the signal is zero at both ends
-    (a flat signal, e.g. a = 0, has no crossing).
+    or a = 0 (a flat signal has no crossing).
     """
     couplings = derive_couplings(atom, spectrum)
     gt = couplings.Gamma_g_tilde
@@ -150,8 +150,16 @@ def zero_crossing(
     if not lo < hi:
         raise ParameterError(f"invalid bracket {bracket}")
     signal = make_signal_function(
-        atom, spectrum, modulation, path, cell, settings, allow_asymmetric
+        atom, spectrum, modulation, path, cell, allow_asymmetric
     )
+    no_slope = (
+        "the in-phase signal has no slope in delta "
+        f"(modulation index a = {modulation.a})"
+    )
+    if modulation.a == 0.0:
+        # S is identically 0; the time-domain lock-in would leave round-off,
+        # whose sign Brent's method would follow to a spurious crossing
+        raise ParameterError(no_slope)
     if path in ("linearized", "thick"):
         if path == "thick":
             couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
@@ -161,10 +169,7 @@ def zero_crossing(
         # outside the bracket (or no slope): the endpoint checks below report it
     S_lo, S_hi = signal(lo), signal(hi)
     if S_lo == 0.0 and S_hi == 0.0:
-        raise ParameterError(
-            "the in-phase signal is 0 at both bracket ends, so it has no slope "
-            f"in delta (modulation index a = {modulation.a})"
-        )
+        raise ParameterError(f"{no_slope}: it is 0 at both bracket ends")
     if S_lo == 0.0:
         return lo
     if S_hi == 0.0:
@@ -184,13 +189,12 @@ def sweep_crossing(
     modulation: ModulationParams,
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
-    settings: IntegrationSettings | None = None,
     allow_asymmetric: bool = False,
 ) -> float:
     """`zero_crossing` solved to SWEEP_XTOL of the spectrum's own Gamma_g_tilde."""
     gt = derive_couplings(atom, spectrum).Gamma_g_tilde
     return zero_crossing(
-        atom, spectrum, modulation, path, cell, settings,
+        atom, spectrum, modulation, path, cell,
         xtol=SWEEP_XTOL * gt, allow_asymmetric=allow_asymmetric,
     )
 
@@ -201,7 +205,6 @@ def power_slope(
     modulation: ModulationParams,
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
-    settings: IntegrationSettings | None = None,
     allow_asymmetric: bool = False,
 ) -> float:
     """Power sensitivity d(delta_0)/dE^2 of the zero crossing.
@@ -217,7 +220,7 @@ def power_slope(
     for scale in (1.0 + POWER_STEP, 1.0 - POWER_STEP):
         try:
             crossings.append(sweep_crossing(
-                atom, spectrum.scaled(scale), modulation, path, cell, settings,
+                atom, spectrum.scaled(scale), modulation, path, cell,
                 allow_asymmetric,
             ))
         except BracketError as exc:
@@ -293,8 +296,6 @@ def find_ips_and_pzds(
     m_grid: Sequence[float],
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
-    settings: IntegrationSettings | None = None,
-    max_refine: int = 3,
     allow_asymmetric: bool = True,
 ) -> SweepResult:
     """Locate every IP and PZD of a spectrum family over an m-grid.
@@ -304,9 +305,9 @@ def find_ips_and_pzds(
     slope mark IPs, sign changes of delta_0 mark PZDs; each is refined by
     bracketed root finding in m.  The grid is checked for isolation by
     midpoint densification: if either root count changes, the densified
-    grid is adopted (up to `max_refine` times).  `family` is called once
-    per distinct m.  A BracketError names the m and the power scale at
-    which it occurred.
+    grid is adopted (up to MAX_REFINE times).  `family` is called once
+    per distinct m.  A BracketError or ParameterError names the m (and a
+    BracketError the power scale) at which it occurred.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -322,16 +323,17 @@ def find_ips_and_pzds(
         return spectra[m]
 
     def at_m(solve: Callable[..., float], scale: str) -> Callable[[float], float]:
-        """m -> `solve` on the spectrum at m; a BracketError is re-raised
-        naming m and, after it, the power scale text `scale`."""
+        """m -> `solve` on the spectrum at m; a BracketError or
+        ParameterError is re-raised naming m and, after it, the power scale
+        text `scale`."""
         def value(m: float) -> float:
             try:
                 return solve(
-                    atom, spectrum_at(m), modulation, path, cell, settings,
+                    atom, spectrum_at(m), modulation, path, cell,
                     allow_asymmetric,
                 )
-            except BracketError as exc:
-                raise BracketError(f"at m = {m:.12g}, {scale}{exc}") from exc
+            except (BracketError, ParameterError) as exc:
+                raise type(exc)(f"at m = {m:.12g}, {scale}{exc}") from exc
         return value
 
     delta0_at = at_m(sweep_crossing, "power scale 1: ")
@@ -343,7 +345,7 @@ def find_ips_and_pzds(
         return d0, dd
 
     delta0s, derivs = scan(ms)
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         mids = [0.5 * (a + b) for a, b in zip(ms, ms[1:])]
         mid_d0, mid_dd = scan(mids)
         dense_ms: list[float] = []
@@ -482,8 +484,9 @@ class ServoScenario:
     One servo step per modulation period.  `gain` is the integral gain per
     step (closed-loop time constant 1/gain steps); the intensity factor is
     1 + depth * sin(2 pi j / intensity_period_steps), and the ramp must be
-    slow against the intensity period for a clean demodulation.
-    `delta_start = None` locks on at the initial zero crossing.
+    slow against the intensity period for a clean demodulation.  The servo
+    locks on at the zero crossing of the start spectrum and loses lock once
+    |delta| exceeds that spectrum's Gamma_g_tilde.
     """
 
     m_start: float
@@ -492,8 +495,6 @@ class ServoScenario:
     gain: float = 0.05
     intensity_depth: float = 0.3
     intensity_period_steps: int = 400
-    delta_start: float | None = None
-    bracket_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_steps < 2:
@@ -508,10 +509,6 @@ class ServoScenario:
             raise ParameterError(
                 f"intensity_period_steps must be >= 8, got "
                 f"{self.intensity_period_steps}"
-            )
-        if self.bracket_scale <= 0:
-            raise ParameterError(
-                f"bracket_scale must be positive, got {self.bracket_scale}"
             )
 
 
@@ -550,12 +547,8 @@ def servo_lock_experiment(
     """
     start_spectrum = family(scenario.m_start)
     ref = asymmetry_shift(atom, start_spectrum, modulation)
-    gt_ref = derive_couplings(atom, start_spectrum).Gamma_g_tilde
-    bracket = scenario.bracket_scale * gt_ref
-    if scenario.delta_start is None:
-        delta = zero_crossing(atom, start_spectrum, modulation, path="harmonic")
-    else:
-        delta = scenario.delta_start
+    capture = derive_couplings(atom, start_spectrum).Gamma_g_tilde
+    delta = zero_crossing(atom, start_spectrum, modulation, path="harmonic")
 
     n = scenario.n_steps
     ms = np.linspace(scenario.m_start, scenario.m_stop, n)
@@ -566,7 +559,7 @@ def servo_lock_experiment(
     lost_at: int | None = None
     for j in range(n):
         deltas[j] = delta
-        if abs(delta) > bracket:
+        if abs(delta) > capture:
             lock_lost = True
             lost_at = j
             break

@@ -92,8 +92,7 @@ def slab_couplings(
     extension beyond the symmetric treatment).
     """
     EL, ER = spectrum.amplitude(-1), spectrum.amplitude(+1)
-    scale = max(EL, ER)
-    if not allow_asymmetric and (scale == 0.0 or abs(EL - ER) > 1e-12 * scale):
+    if not allow_asymmetric and abs(EL - ER) > 1e-12 * max(EL, ER):
         raise ParameterError(
             "the thick-cell average requires symmetric resonant sidebands "
             f"(E_-1 = {EL}, E_+1 = {ER})"

@@ -32,7 +32,6 @@ from .core import (
 
 __all__ = [
     "GroundState",
-    "IntegrationSettings",
     "TimeTrace",
     "integrate_ground_state",
     "absorption",
@@ -40,6 +39,10 @@ __all__ = [
     "FullLambdaState",
     "steady_state_full_lambda",
 ]
+
+# Periods in an integrated trace: `lockin` needs at least 4, and on the
+# periodic orbit more periods change nothing but rounding.
+TRACE_PERIODS = 4
 
 
 @dataclass(frozen=True)
@@ -49,27 +52,6 @@ class GroundState:
     rho22: float
     rho11: float
     rho21: complex
-
-
-@dataclass(frozen=True)
-class IntegrationSettings:
-    """Grid controls for `integrate_ground_state`.
-
-    `steps_per_period = None` is resolved from the working parameters: the
-    step obeys dt <= (2 pi / omega_m)/200 and dt <= 0.02/Gamma_g_tilde.  An
-    explicit value below that floor is rejected at integration time.
-    """
-
-    steps_per_period: int | None = None
-    n_periods: int = 4
-
-    def __post_init__(self) -> None:
-        if self.steps_per_period is not None and self.steps_per_period < 200:
-            raise ParameterError(
-                f"steps_per_period must be >= 200, got {self.steps_per_period}"
-            )
-        if self.n_periods < 1:
-            raise ParameterError(f"n_periods must be >= 1, got {self.n_periods}")
 
 
 @dataclass(frozen=True)
@@ -128,21 +110,6 @@ def absorption(
     )
 
 
-def _steps_per_period(
-    settings: IntegrationSettings, omega_m: float, Gamma_g_tilde: float
-) -> int:
-    floor = max(200, math.ceil(2.0 * math.pi / omega_m * Gamma_g_tilde / 0.02))
-    spp = settings.steps_per_period
-    if spp is None:
-        return floor
-    if spp < floor:
-        raise ParameterError(
-            f"steps_per_period = {spp} gives dt > 0.02/Gamma_g_tilde; "
-            f"need >= {floor} for these parameters"
-        )
-    return spp
-
-
 def _rk4_step_maps(
     c: DerivedCouplings, omega_m: float, x0: float, x1: float, h: float, spp: int
 ) -> np.ndarray:
@@ -192,7 +159,6 @@ def integrate_ground_state(
     spectrum: FieldSpectrum,
     modulation: ModulationParams,
     delta: float,
-    settings: IntegrationSettings | None = None,
 ) -> TimeTrace:
     """Periodic steady state of the reduced model under fixed-step RK4.
 
@@ -202,15 +168,13 @@ def integrate_ground_state(
     steps is an affine map; its fixed point is the periodic orbit that a
     transient would relax to.  rho22 + rho11 relaxes to 1 and RK4 keeps
     linear invariants, so on that orbit rho11 = 1 - rho22 exactly and the
-    map acts on (rho22, Re rho21, Im rho21, 1).  Returns `n_periods` periods
-    of the orbit (endpoint included), starting at t = 0.
+    map acts on (rho22, Re rho21, Im rho21, 1).  The step obeys
+    dt <= (2 pi / omega_m)/200 and dt <= 0.02/Gamma_g_tilde.  Returns
+    TRACE_PERIODS periods of the orbit (endpoint included), starting at t = 0.
     """
     c = derive_couplings(atom, spectrum)
     wm = modulation.omega_m
-    if settings is None:
-        settings = IntegrationSettings()
-    spp = _steps_per_period(settings, wm, c.Gamma_g_tilde)
-    n_periods = settings.n_periods
+    spp = max(200, math.ceil(2.0 * math.pi / wm * c.Gamma_g_tilde / 0.02))
     h = 2.0 * math.pi / wm / spp
 
     maps = _rk4_step_maps(
@@ -222,9 +186,9 @@ def integrate_ground_state(
     period = np.empty((spp, 3))
     period[0] = y0
     period[1:] = P[:-1, :3, :3] @ y0 + P[:-1, :3, 3]
-    rho22, re21, im21 = np.vstack([np.tile(period, (n_periods, 1)), y0]).T
+    rho22, re21, im21 = np.vstack([np.tile(period, (TRACE_PERIODS, 1)), y0]).T
 
-    times = np.arange(n_periods * spp + 1) * h
+    times = np.arange(TRACE_PERIODS * spp + 1) * h
     rho11 = 1.0 - rho22
     pref = 2.0 * c.P / (atom.gamma * atom.Gamma)
     kappa = pref * (
@@ -238,7 +202,7 @@ def integrate_ground_state(
         kappa=kappa,
         omega_m=wm,
         dt=h,
-        n_periods=n_periods,
+        n_periods=TRACE_PERIODS,
     )
 
 

@@ -318,7 +318,7 @@ class TestCli:
         assert main(["run", path]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path", ["harmonic", "linearized"])
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "time-domain"])
     def test_run_flat_signal_exits_1(self, tmp_path, capsys, path):
         # a = 0 makes S identically 0; no crossing may be written for it
         text = BASE_YAML.replace("a: 0.2", "a: 0.0").replace(

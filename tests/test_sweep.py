@@ -187,6 +187,17 @@ class TestFindIpsAndPzds:
         assert re.search(r"S\(lo\) = \S+, S\(hi\) = \S+$", msg)
         assert isinstance(info.value.__cause__, BracketError)
 
+    def test_parameter_error_names_m(self, atom):
+        # m = 0 leaves the resonant pair empty (J_1(0) = 0): S has no slope
+        family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        with pytest.raises(ParameterError) as info:
+            find_ips_and_pzds(atom, mod, family, [0.0, 0.5, 1.0])
+        assert str(info.value).startswith("at m = 0, power scale 1: ")
+        assert "no slope in delta" in str(info.value)
+        assert isinstance(info.value.__cause__, ParameterError)
+
     def test_grid_validation(self, atom):
         family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
         mod = make_modulation()
@@ -270,8 +281,6 @@ class TestServo:
             ServoScenario(
                 m_start=2.0, m_stop=3.0, n_steps=100, intensity_period_steps=4
             )
-        with pytest.raises(ParameterError):
-            ServoScenario(m_start=2.0, m_stop=3.0, n_steps=100, bracket_scale=0.0)
 
     def test_zero_gain_servo_never_moves(self):
         scen = ServoScenario(
@@ -300,10 +309,10 @@ class TestServo:
         assert np.max(np.abs(trace.response_amplitude)) > 0.0
 
     def test_lock_loss_truncates_trace(self):
+        # an integral gain above 2 overshoots by more than it corrects
         scen = ServoScenario(
-            m_start=2.4, m_stop=2.5, n_steps=400,
-            intensity_period_steps=100, delta_start=0.5 * self.gt,
-            bracket_scale=1e-4,
+            m_start=2.4, m_stop=2.5, n_steps=400, gain=8.0,
+            intensity_period_steps=100,
         )
         trace = servo_lock_experiment(self.atom, self.mod, self.family, scen)
         assert trace.lock_lost

@@ -164,15 +164,14 @@ class TestThickRoots:
 
     def test_flat_signal_has_no_crossing(self, atom):
         # a = 0, or m = 0 where J_1 = 0, leaves S identically 0: no crossing,
-        # rather than a bracket end returned as one (the empty resonant pair
-        # at m = 0 needs the asymmetric opt-in on the thick path)
-        kw = dict(cell=CellParams(LENGTH, 0.43 / LENGTH), allow_asymmetric=True)
+        # rather than a bracket end (or a root of round-off) returned as one
+        cell = CellParams(LENGTH, 0.43 / LENGTH)
         for m, a in ((2.3, 0.0), (0.0, 0.2)):
             spec = make_spectrum(m=m, epsilon=0.0)
             mod = make_modulation(a=a, omega_m=1e3)
-            for path in ("harmonic", "linearized", "thick"):
+            for path in ("harmonic", "linearized", "thick", "time-domain"):
                 with pytest.raises(ParameterError, match=f"no slope.*a = {a}"):
-                    zero_crossing(atom, spec, mod, path, **kw)
+                    zero_crossing(atom, spec, mod, path, cell=cell)
 
 
 class TestCellParams:

@@ -17,7 +17,6 @@ from conftest import (
 )
 from cptsim import (
     GroundState,
-    IntegrationSettings,
     ModulationParams,
     ParameterError,
     TimeTrace,
@@ -126,19 +125,16 @@ class TestLockin:
 
 
 class TestIntegration:
-    def test_settings_validation(self, atom):
-        with pytest.raises(ParameterError):
-            IntegrationSettings(steps_per_period=100)
-        with pytest.raises(ParameterError):
-            IntegrationSettings(n_periods=0)
-        # explicit values below the parameter-dependent floors are rejected
-        spec = make_spectrum()
+    @pytest.mark.parametrize("w_frac, spp", [(2.0, 200), (0.5, 629)])
+    def test_fixed_step_rule(self, atom, w_frac, spp):
+        # dt <= (2 pi/omega_m)/200 and dt <= 0.02/Gamma_g_tilde, over 4 periods
+        spec = make_spectrum(m=2.4, epsilon=0.2)
         gt = derive_couplings(atom, spec).Gamma_g_tilde
-        mod = ModulationParams(a=0.2, omega_m=0.02 * gt)
-        with pytest.raises(ParameterError, match="steps_per_period"):
-            integrate_ground_state(
-                atom, spec, mod, 0.0, IntegrationSettings(steps_per_period=200)
-            )
+        mod = make_modulation(a=0.2, omega_m=w_frac * gt)
+        trace = integrate_ground_state(atom, spec, mod, 0.0)
+        assert trace.dt == pytest.approx(2.0 * math.pi / mod.omega_m / spp, rel=1e-12)
+        assert trace.n_periods == 4
+        assert trace.t.size == 4 * spp + 1
 
     def test_grid_shape_and_population_sum(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.2)
@@ -233,10 +229,7 @@ class TestIntegration:
         spec = make_spectrum(m=2.4, epsilon=0.2)
         gt = derive_couplings(atom, spec).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
-        trace = integrate_ground_state(
-            atom, spec, mod, dressed_center(atom, spec),
-            IntegrationSettings(n_periods=4),
-        )
+        trace = integrate_ground_state(atom, spec, mod, dressed_center(atom, spec))
         path = tmp_path / "trace.csv"
         trace.write_csv(str(path))
         with open(path, newline="") as fh:
