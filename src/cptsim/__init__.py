@@ -38,9 +38,9 @@ from .sweep import (
     SweepRecord,
     SweepResult,
     bessel_family,
+    crossing_and_sensitivity,
     find_ips_and_pzds,
     make_signal_function,
-    power_slope,
     servo_lock_experiment,
     symmetrizing_detuning,
     zero_crossing,
@@ -82,9 +82,9 @@ __all__ = [
     "SweepRecord",
     "SweepResult",
     "bessel_family",
+    "crossing_and_sensitivity",
     "find_ips_and_pzds",
     "make_signal_function",
-    "power_slope",
     "servo_lock_experiment",
     "symmetrizing_detuning",
     "zero_crossing",

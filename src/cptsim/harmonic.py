@@ -46,6 +46,7 @@ __all__ = [
     "FourierAmplitudes",
     "solve_fourier_amplitudes",
     "signals_from_amplitudes",
+    "HarmonicSignal",
     "harmonic_signals",
     "linearized_signals",
     "closed_form_signals",
@@ -75,6 +76,102 @@ class FourierAmplitudes:
     G2: complex
 
 
+# Unknown ordering: [ReC0, ImC0, ReC1, ImC1, ReCm1, ImCm1,
+#                    ReC2, ImC2, ReCm2, ImCm2, G0, ReG1, ImG1, ReG2, ImG2]
+RC0, IC0, RC1, IC1, RCm1, ICm1 = 0, 1, 2, 3, 4, 5
+RC2, IC2, RCm2, ICm2, G0, RG1, IG1, RG2, IG2 = 6, 7, 8, 9, 10, 11, 12, 13, 14
+# Every matrix entry is a multiple of one of these (parameter vector order).
+GT, K, AW, W = 0, 1, 2, 3
+
+# The 15 rows at zero dressed detuning sd, as (column, coefficient,
+# parameter) entries over (Gamma_g_tilde, K, a*omega_m, omega_m).  sd itself
+# adds to the diagonal of the ten coherence rows.
+FOURIER_ROWS = (
+    # Coherence at DC, sourced by V_LR and the population difference.
+    ((IC0, -1, GT), (RC1, 1, AW), (RCm1, 1, AW), (G0, -2, K)),
+    ((RC0, 1, GT), (IC1, 1, AW), (ICm1, 1, AW)),
+    # Coherence at +-omega_m, driven by the modulation of the detuning.
+    ((RC1, 1, W), (IC1, -1, GT), (RC0, 1, AW), (RC2, 1, AW), (RG1, -2, K)),
+    ((RC1, 1, GT), (IC1, 1, W), (IC0, 1, AW), (IC2, 1, AW), (IG1, -2, K)),
+    ((RCm1, -1, W), (ICm1, -1, GT), (RC0, 1, AW), (RCm2, 1, AW), (RG1, -2, K)),
+    ((RCm1, 1, GT), (ICm1, -1, W), (IC0, 1, AW), (ICm2, 1, AW), (IG1, 2, K)),
+    # Coherence at +-2 omega_m.
+    ((RC2, 2, W), (IC2, -1, GT), (RC1, 1, AW), (RG2, -2, K)),
+    ((RC2, 1, GT), (IC2, 2, W), (IC1, 1, AW), (IG2, -2, K)),
+    ((RCm2, -2, W), (ICm2, -1, GT), (RCm1, 1, AW), (RG2, -2, K)),
+    ((RCm2, 1, GT), (ICm2, -2, W), (ICm1, 1, AW), (IG2, 2, K)),
+    # Static population of |2>: pumping balance against total relaxation.
+    ((G0, 1, GT), (IC0, -2, K)),
+    ((RG1, 1, W), (IG1, -1, GT), (RC1, -1, K), (RCm1, 1, K)),
+    ((RG1, 1, GT), (IG1, 1, W), (IC1, -1, K), (ICm1, -1, K)),
+    ((RG2, 2, W), (IG2, -1, GT), (RC2, -1, K), (RCm2, 1, K)),
+    ((RG2, 1, GT), (IG2, 2, W), (IC2, -1, K), (ICm2, -1, K)),
+)
+_ROW, _COL, _COEF, _PARAM = (
+    np.array(column)
+    for column in zip(*(
+        (i, j, float(coef), param)
+        for i, entries in enumerate(FOURIER_ROWS)
+        for j, coef, param in entries
+    ))
+)
+_COHERENCE = np.arange(10)
+
+
+def _fourier_matrix(params) -> np.ndarray:
+    """A at sd = 0 for parameters (Gamma_g_tilde, K, a*omega_m, omega_m)."""
+    A = np.zeros((15, 15))
+    A[_ROW, _COL] = _COEF * np.asarray(params, dtype=float)[_PARAM]
+    return A
+
+
+def _fourier_system(
+    couplings: DerivedCouplings, modulation: ModulationParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A at sd = 0, right-hand side b) of the Fourier system."""
+    A = _fourier_matrix((
+        couplings.Gamma_g_tilde,
+        couplings.K,
+        modulation.a * modulation.omega_m,
+        modulation.omega_m,
+    ))
+    Gg = couplings.Gamma_g_tilde - couplings.V_L - couplings.V_R
+    b = np.zeros(15)
+    b[0] = -couplings.K
+    b[1] = couplings.V_LR
+    b[10] = couplings.V_R + Gg / 2.0
+    return A, b
+
+
+def _dressed_detuning(couplings: DerivedCouplings, delta: float) -> float:
+    return 2.0 * delta + couplings.delta_r + couplings.delta_nr
+
+
+def _at_detuning(A0: np.ndarray, sd: float) -> np.ndarray:
+    """A(sd) = A0 + sd J, J the unit diagonal of the ten coherence rows."""
+    A = A0.copy()
+    A[_COHERENCE, _COHERENCE] += sd
+    return A
+
+
+def _solve(A: np.ndarray, b: np.ndarray, couplings, modulation) -> np.ndarray:
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:  # unreachable for Gamma_g_tilde > 0
+        raise ParameterError(
+            f"Fourier-amplitude system singular (cond = {np.linalg.cond(A):.3g}); "
+            f"Gamma_g_tilde = {couplings.Gamma_g_tilde}, "
+            f"omega_m = {modulation.omega_m}"
+        ) from exc
+
+
+def _truncation_warning(modulation: ModulationParams) -> str:
+    return (
+        f"modulation index a = {modulation.a} > 0.5: second-harmonic "
+        "truncation degrades"
+    )
+
+
 def solve_fourier_amplitudes(
     couplings: DerivedCouplings,
     delta: float,
@@ -88,58 +185,10 @@ def solve_fourier_amplitudes(
     harmonics; a > 0.5 is accepted but outside the trusted regime.
     """
     if modulation.beyond_recommended_index:
-        warnings.warn(
-            f"modulation index a = {modulation.a} > 0.5: second-harmonic "
-            "truncation degrades",
-            stacklevel=2,
-        )
-    sd = 2.0 * delta + couplings.delta_r + couplings.delta_nr
-    w = modulation.omega_m
-    gt = couplings.Gamma_g_tilde
-    aw = modulation.a * modulation.omega_m
-    K = couplings.K
-    Gg = couplings.Gamma_g_tilde - couplings.V_L - couplings.V_R
-
-    # Unknown ordering: [ReC0, ImC0, ReC1, ImC1, ReCm1, ImCm1,
-    #                    ReC2, ImC2, ReCm2, ImCm2, G0, ReG1, ImG1, ReG2, ImG2]
-    A = np.zeros((15, 15))
-    b = np.zeros(15)
-
-    def row(i, entries, rhs=0.0):
-        for j, val in entries.items():
-            A[i, j] = val
-        b[i] = rhs
-
-    RC0, IC0, RC1, IC1, RCm1, ICm1 = 0, 1, 2, 3, 4, 5
-    RC2, IC2, RCm2, ICm2, G0, RG1, IG1, RG2, IG2 = 6, 7, 8, 9, 10, 11, 12, 13, 14
-
-    # Coherence at DC, sourced by V_LR and the population difference.
-    row(0, {RC0: sd, IC0: -gt, RC1: aw, RCm1: aw, G0: -2 * K}, rhs=-K)
-    row(1, {RC0: gt, IC0: sd, IC1: aw, ICm1: aw}, rhs=couplings.V_LR)
-    # Coherence at +-omega_m, driven by the modulation of the detuning.
-    row(2, {RC1: sd + w, IC1: -gt, RC0: aw, RC2: aw, RG1: -2 * K})
-    row(3, {RC1: gt, IC1: sd + w, IC0: aw, IC2: aw, IG1: -2 * K})
-    row(4, {RCm1: sd - w, ICm1: -gt, RC0: aw, RCm2: aw, RG1: -2 * K})
-    row(5, {RCm1: gt, ICm1: sd - w, IC0: aw, ICm2: aw, IG1: 2 * K})
-    # Coherence at +-2 omega_m.
-    row(6, {RC2: sd + 2 * w, IC2: -gt, RC1: aw, RG2: -2 * K})
-    row(7, {RC2: gt, IC2: sd + 2 * w, IC1: aw, IG2: -2 * K})
-    row(8, {RCm2: sd - 2 * w, ICm2: -gt, RCm1: aw, RG2: -2 * K})
-    row(9, {RCm2: gt, ICm2: sd - 2 * w, ICm1: aw, IG2: 2 * K})
-    # Static population of |2>: pumping balance against total relaxation.
-    row(10, {G0: gt, IC0: -2 * K}, rhs=couplings.V_R + Gg / 2.0)
-    row(11, {RG1: w, IG1: -gt, RC1: -K, RCm1: K})
-    row(12, {RG1: gt, IG1: w, IC1: -K, ICm1: -K})
-    row(13, {RG2: 2 * w, IG2: -gt, RC2: -K, RCm2: K})
-    row(14, {RG2: gt, IG2: 2 * w, IC2: -K, ICm2: -K})
-
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:  # unreachable for Gamma_g_tilde > 0
-        raise ParameterError(
-            f"Fourier-amplitude system singular (cond = {np.linalg.cond(A):.3g}); "
-            f"Gamma_g_tilde = {gt}, omega_m = {w}"
-        ) from exc
+        warnings.warn(_truncation_warning(modulation), stacklevel=2)
+    A0, b = _fourier_system(couplings, modulation)
+    A = _at_detuning(A0, _dressed_detuning(couplings, delta))
+    x = _solve(A, b, couplings, modulation)
     return FourierAmplitudes(
         C0=complex(x[RC0], x[IC0]),
         C1=complex(x[RC1], x[IC1]),
@@ -149,6 +198,15 @@ def solve_fourier_amplitudes(
         G0=float(x[G0]),
         G1=complex(x[RG1], x[IG1]),
         G2=complex(x[RG2], x[IG2]),
+    )
+
+
+def _lockin_weights(atom: AtomParams, couplings: DerivedCouplings):
+    """(prefactor, calV_L^2 - calV_R^2, calV_L calV_R) of the lock-in signals."""
+    return (
+        4.0 * couplings.P / (atom.gamma * atom.Gamma),
+        couplings.calV_L**2 - couplings.calV_R**2,
+        couplings.calV_L * couplings.calV_R,
     )
 
 
@@ -163,12 +221,76 @@ def signals_from_amplitudes(
     Normalization matches time-domain demodulation with the 2/T convention:
     a pure signal c*cos(omega_m t) yields S = c at alpha = 0.
     """
-    pref = 4.0 * couplings.P / (atom.gamma * atom.Gamma)
-    dV2 = couplings.calV_L**2 - couplings.calV_R**2
-    VV = couplings.calV_L * couplings.calV_R
+    pref, dV2, VV = _lockin_weights(atom, couplings)
     S = pref * (dV2 * amplitudes.G1.real - VV * (amplitudes.C1 + amplitudes.Cm1).real)
     Q = pref * (dV2 * amplitudes.G1.imag - VV * (amplitudes.C1 - amplitudes.Cm1).imag)
     return LockInResult(S=S, Q=Q).at_phase(alpha)
+
+
+class HarmonicSignal:
+    """In-phase signal S(delta) of the harmonic path, assembled once.
+
+    The dressed detuning sd = 2 delta + delta_r + delta_nr enters the
+    Fourier system only on the coherence diagonals, A(sd) = A0 + sd J, so
+    A0, b and the in-phase row c are built once and each evaluation is one
+    15x15 solve.  S equals `harmonic_signals(...).S` bit for bit.  Warns
+    once, here, when a > 0.5.
+    """
+
+    def __init__(
+        self,
+        atom: AtomParams,
+        couplings: DerivedCouplings,
+        modulation: ModulationParams,
+    ):
+        if modulation.beyond_recommended_index:
+            warnings.warn(_truncation_warning(modulation), stacklevel=2)
+        self.couplings = couplings
+        self.modulation = modulation
+        self.A0, self.b = _fourier_system(couplings, modulation)
+        self._weights = _lockin_weights(atom, couplings)
+        self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
+        # c^T x = S cos(alpha) - Q sin(alpha), the in-phase signal
+        pref, dV2, VV = self._weights
+        c = np.zeros(15)
+        c[[RG1, RC1, RCm1]] = pref * self._cos * np.array([dV2, -VV, -VV])
+        c[[IG1, IC1, ICm1]] = -pref * self._sin * np.array([dV2, -VV, VV])
+        self.c = c
+
+    def _amplitudes(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        A = _at_detuning(self.A0, _dressed_detuning(self.couplings, delta))
+        return A, _solve(A, self.b, self.couplings, self.modulation)
+
+    def __call__(self, delta: float) -> float:
+        x = self._amplitudes(delta)[1]
+        pref, dV2, VV = self._weights
+        S = pref * (dV2 * x[RG1] - VV * (x[RC1] + x[RCm1]))
+        Q = pref * (dV2 * x[IG1] - VV * (x[IC1] - x[ICm1]))
+        return S * self._cos - Q * self._sin
+
+    def power_sensitivity(self, delta0: float) -> float:
+        """d(delta_0)/ds at a crossing delta0, for the power scale E^2 -> s E^2.
+
+        Every coupling is linear in s except Gamma_g, so A = A_fixed + s A1
+        + sd J with A1 the table at (V_L + V_R, K, 0, 0), sd = 2 delta +
+        s x0 with x0 = delta_r + delta_nr, b = b_fixed + s b1, and c only
+        scales (S = 0 at the root).  The implicit-function theorem on
+        c^T A^-1 b = 0, with x = A^-1 b and y = A^-T c, gives
+        d(delta_0)/ds = y^T (b1 - A1 x - x0 J x) / (2 y^T J x).
+        Divide by E^2 for d(delta_0)/dE^2.
+        """
+        cp = self.couplings
+        A, x = self._amplitudes(delta0)
+        y = np.linalg.solve(A.T, self.c)
+        A1 = _fourier_matrix((cp.V_L + cp.V_R, cp.K, 0.0, 0.0))
+        b1 = np.zeros(15)
+        b1[0] = -cp.K
+        b1[1] = cp.V_LR
+        b1[10] = cp.V_R
+        Jx = np.zeros(15)
+        Jx[_COHERENCE] = x[_COHERENCE]
+        x0 = cp.delta_r + cp.delta_nr
+        return float(y @ (b1 - A1 @ x - x0 * Jx) / (2.0 * (y @ Jx)))
 
 
 def harmonic_signals(
@@ -181,15 +303,12 @@ def harmonic_signals(
     couplings = derive_couplings(atom, spectrum)
     amplitudes = solve_fourier_amplitudes(couplings, delta, modulation)
     result = signals_from_amplitudes(amplitudes, atom, couplings, modulation.alpha)
-    warns: list[str] = []
     if modulation.beyond_recommended_index:
-        warns.append(
-            f"modulation index a = {modulation.a} > 0.5: second-harmonic "
-            "truncation degrades"
-        )
-    if warns:
         result = LockInResult(
-            S=result.S, Q=result.Q, alpha=result.alpha, warnings=tuple(warns)
+            S=result.S,
+            Q=result.Q,
+            alpha=result.alpha,
+            warnings=(_truncation_warning(modulation),),
         )
     return result
 

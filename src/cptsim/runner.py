@@ -4,8 +4,10 @@ One scenario produces, per curve, a records CSV (one row per grid point)
 and, for m-axis sweeps, a roots CSV listing the refined IP and PZD
 locations.  A manifest JSON embeds the resolved configuration, package
 version, and the exact grids used, so no output file is separable from its
-parameters.  Outputs are deterministic: rerunning the same config yields
-byte-identical files.
+parameters; it names each output by its file name, relative to the
+manifest's own directory, so it does not depend on where it was written.
+Outputs are deterministic: rerunning the same config yields byte-identical
+files.
 
 CSV conventions: UTF-8, comma separator, header row, 12 significant digits,
 newline-terminated final line.  Frequency columns are in Hz of ordinary
@@ -26,9 +28,8 @@ from .config import ScenarioConfig
 from .sweep import (
     SweepResult,
     bessel_family,
+    crossing_and_sensitivity,
     find_ips_and_pzds,
-    power_slope,
-    sweep_crossing,
 )
 
 __all__ = ["RunResult", "emit_csv", "run_scenario"]
@@ -181,9 +182,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                     spectrum = spec_cfg.to_spectrum(Omega, epsilon=value)
                 elif sweep.axis == "power":
                     spectrum = spectrum.scaled(value)
-                kw = dict(path=sweep.path, cell=cell_v, allow_asymmetric=True)
-                d0 = sweep_crossing(atom, spectrum, mod_v, **kw)
-                dd = power_slope(atom, spectrum, mod_v, **kw)
+                d0, dd = crossing_and_sensitivity(
+                    atom, spectrum, mod_v, path=sweep.path, cell=cell_v,
+                    allow_asymmetric=True,
+                )
                 rows.append((value, spectrum.total_power, d0 / TWO_PI, dd))
             emit_csv(
                 records_path,
@@ -196,8 +198,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             {
                 "curve": {curve_key: curve_value} if curve_key else {},
                 "grid": axis_grid,
-                "records": records_path,
-                **({"roots": roots_paths[-1]} if sweep.axis == "m" else {}),
+                "records": os.path.basename(records_path),
+                **(
+                    {"roots": os.path.basename(roots_paths[-1])}
+                    if sweep.axis == "m" else {}
+                ),
             }
         )
 

@@ -36,6 +36,7 @@ from .core import (
     require_finite,
 )
 from .harmonic import (
+    HarmonicSignal,
     asymmetry_shift,
     closed_form_crossing,
     harmonic_signals,
@@ -44,9 +45,11 @@ from .harmonic import (
 from .thick import CellParams, averaged_signal, slab_couplings
 from .timedomain import integrate_ground_state, lockin
 
-# Relative power step of `power_slope`, and the tolerance of every sweep
-# crossing in units of its spectrum's Gamma_g_tilde: far below the public
-# default, so root-finder noise stays small against the difference.
+# Relative power step of the central difference `crossing_and_sensitivity`
+# takes on the time-domain, linearized and thick paths (the harmonic path's
+# slope is exact), and the tolerance of every sweep crossing in units of its
+# spectrum's Gamma_g_tilde: far below the public default, so root-finder
+# noise stays small against the difference.
 POWER_STEP = 1e-3
 SWEEP_XTOL = 1e-8
 # Midpoint densifications `find_ips_and_pzds` may apply to its m-grid.
@@ -58,7 +61,7 @@ __all__ = [
     "make_signal_function",
     "zero_crossing",
     "sweep_crossing",
-    "power_slope",
+    "crossing_and_sensitivity",
     "bessel_family",
     "SweepRecord",
     "IpRoot",
@@ -97,14 +100,17 @@ def make_signal_function(
     cell: CellParams | None = None,
     allow_asymmetric: bool = False,
 ) -> Callable[[float], float]:
-    """In-phase signal S as a function of the detuning delta, on one path."""
+    """In-phase signal S as a function of the detuning delta, on one path.
+
+    On the harmonic path this is a `HarmonicSignal`: the Fourier system is
+    assembled here, once, and each evaluation is one solve.
+    """
     if path == "time-domain":
         def signal(delta: float) -> float:
             trace = integrate_ground_state(atom, spectrum, modulation, delta)
             return lockin(trace, modulation.alpha).S
     elif path == "harmonic":
-        def signal(delta: float) -> float:
-            return harmonic_signals(atom, spectrum, modulation, delta).S
+        signal = HarmonicSignal(atom, derive_couplings(atom, spectrum), modulation)
     elif path == "linearized":
         def signal(delta: float) -> float:
             return linearized_signals(atom, spectrum, modulation, delta).S
@@ -129,6 +135,7 @@ def zero_crossing(
     bracket: tuple[float, float] | None = None,
     xtol: float | None = None,
     allow_asymmetric: bool = False,
+    signal: Callable[[float], float] | None = None,
 ) -> float:
     """Detuning delta_0 where the in-phase signal crosses zero.
 
@@ -138,7 +145,9 @@ def zero_crossing(
     (to rounding, whatever `xtol`); the other paths use Brent's method.
     Raises BracketError with the endpoint signal values when there is no
     sign change, and ParameterError when the signal is zero at both ends
-    or a = 0 (a flat signal has no crossing).
+    or a = 0 (a flat signal has no crossing).  `signal` is
+    `make_signal_function` of the same inputs, for a caller that evaluates
+    it again after the crossing; by default it is built here.
     """
     couplings = derive_couplings(atom, spectrum)
     gt = couplings.Gamma_g_tilde
@@ -149,9 +158,10 @@ def zero_crossing(
     lo, hi = bracket
     if not lo < hi:
         raise ParameterError(f"invalid bracket {bracket}")
-    signal = make_signal_function(
-        atom, spectrum, modulation, path, cell, allow_asymmetric
-    )
+    if signal is None:
+        signal = make_signal_function(
+            atom, spectrum, modulation, path, cell, allow_asymmetric
+        )
     no_slope = (
         "the in-phase signal has no slope in delta "
         f"(modulation index a = {modulation.a})"
@@ -199,34 +209,57 @@ def sweep_crossing(
     )
 
 
-def power_slope(
+def _named_scale(scale: float, solve: Callable[..., float], *args, **kwargs):
+    """`solve(*args, **kwargs)`, naming the power `scale` in a BracketError
+    or ParameterError."""
+    try:
+        return solve(*args, **kwargs)
+    except (BracketError, ParameterError) as exc:
+        raise type(exc)(f"power scale {scale:.12g}: {exc}") from exc
+
+
+def crossing_and_sensitivity(
     atom: AtomParams,
     spectrum: FieldSpectrum,
     modulation: ModulationParams,
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
     allow_asymmetric: bool = False,
-) -> float:
-    """Power sensitivity d(delta_0)/dE^2 of the zero crossing.
+) -> tuple[float, float]:
+    """Zero crossing delta_0 and its power sensitivity d(delta_0)/dE^2.
 
-    Every spectral component is scaled uniformly by 1 +- POWER_STEP, so the
-    power fractions sigma_k stay fixed, and the two crossings (each a
-    `sweep_crossing`) give the central difference.  Insensitivity points
-    are its roots over the spectrum-family parameter.  Units: (rad/s) per
-    unit of E^2 in rad^2/s^2.  A BracketError names the power scale at
-    which it occurred.
+    The crossing is a `sweep_crossing`.  Its slope is taken with every
+    spectral component scaled uniformly, so the power fractions sigma_k stay
+    fixed; insensitivity points are its roots over the spectrum-family
+    parameter.  On the harmonic path the slope is exact, from the
+    implicit-function theorem on the Fourier system the crossing was solved
+    on (`HarmonicSignal.power_sensitivity`); on the other paths it is the
+    central difference of two more crossings at power scaled by
+    1 +- POWER_STEP.  Units: (rad/s) per unit of E^2 in rad^2/s^2.  A
+    BracketError or ParameterError names the power scale at which it
+    occurred.
     """
-    crossings = []
-    for scale in (1.0 + POWER_STEP, 1.0 - POWER_STEP):
-        try:
-            crossings.append(sweep_crossing(
-                atom, spectrum.scaled(scale), modulation, path, cell,
-                allow_asymmetric,
-            ))
-        except BracketError as exc:
-            raise BracketError(f"power scale {scale:.12g}: {exc}") from exc
-    up, dn = crossings
-    return (up - dn) / (2.0 * POWER_STEP * spectrum.total_power)
+    E2 = spectrum.total_power
+    if path == "harmonic":
+        signal = make_signal_function(atom, spectrum, modulation, path)
+        gt = signal.couplings.Gamma_g_tilde
+        delta0 = _named_scale(
+            1.0, zero_crossing, atom, spectrum, modulation, path,
+            xtol=SWEEP_XTOL * gt, signal=signal,
+        )
+        return delta0, signal.power_sensitivity(delta0) / E2
+    delta0 = _named_scale(
+        1.0, sweep_crossing, atom, spectrum, modulation, path, cell,
+        allow_asymmetric,
+    )
+    up, dn = (
+        _named_scale(
+            scale, sweep_crossing, atom, spectrum.scaled(scale), modulation,
+            path, cell, allow_asymmetric,
+        )
+        for scale in (1.0 + POWER_STEP, 1.0 - POWER_STEP)
+    )
+    return delta0, (up - dn) / (2.0 * POWER_STEP * E2)
 
 
 def bessel_family(
@@ -300,14 +333,14 @@ def find_ips_and_pzds(
 ) -> SweepResult:
     """Locate every IP and PZD of a spectrum family over an m-grid.
 
-    At each grid point the zero crossing delta_0 (`sweep_crossing`) and its
-    power slope dDelta0_dE2 (`power_slope`) are solved.  Sign changes of the
+    At each grid point the zero crossing delta_0 and its power slope
+    dDelta0_dE2 are solved together (`crossing_and_sensitivity`).  Sign changes of the
     slope mark IPs, sign changes of delta_0 mark PZDs; each is refined by
     bracketed root finding in m.  The grid is checked for isolation by
     midpoint densification: if either root count changes, the densified
-    grid is adopted (up to MAX_REFINE times).  `family` is called once
-    per distinct m.  A BracketError or ParameterError names the m (and a
-    BracketError the power scale) at which it occurred.
+    grid is adopted (up to MAX_REFINE times).  `family` and the pair are
+    computed once per distinct m.  A BracketError or ParameterError names
+    the m and the power scale at which it occurred.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -316,28 +349,30 @@ def find_ips_and_pzds(
         raise ParameterError("m_grid must be strictly increasing")
 
     spectra: dict[float, FieldSpectrum] = {}
+    pairs: dict[float, tuple[float, float]] = {}
 
     def spectrum_at(m: float) -> FieldSpectrum:
         if m not in spectra:
             spectra[m] = family(m)
         return spectra[m]
 
-    def at_m(solve: Callable[..., float], scale: str) -> Callable[[float], float]:
-        """m -> `solve` on the spectrum at m; a BracketError or
-        ParameterError is re-raised naming m and, after it, the power scale
-        text `scale`."""
-        def value(m: float) -> float:
+    def pair_at(m: float) -> tuple[float, float]:
+        """(delta_0, dDelta0_dE2) at m; an error is re-raised naming m."""
+        if m not in pairs:
             try:
-                return solve(
+                pairs[m] = crossing_and_sensitivity(
                     atom, spectrum_at(m), modulation, path, cell,
                     allow_asymmetric,
                 )
             except (BracketError, ParameterError) as exc:
-                raise type(exc)(f"at m = {m:.12g}, {scale}{exc}") from exc
-        return value
+                raise type(exc)(f"at m = {m:.12g}, {exc}") from exc
+        return pairs[m]
 
-    delta0_at = at_m(sweep_crossing, "power scale 1: ")
-    derivative_at = at_m(power_slope, "")
+    def delta0_at(m: float) -> float:
+        return pair_at(m)[0]
+
+    def derivative_at(m: float) -> float:
+        return pair_at(m)[1]
 
     def scan(grid: list[float]) -> tuple[list[float], list[float]]:
         d0 = [delta0_at(m) for m in grid]

@@ -231,6 +231,18 @@ class TestRunScenario:
             with open(p, "rb") as fh:
                 assert fh.read() == first[p], p
 
+    def test_manifest_does_not_depend_on_out_dir(self, tmp_path):
+        # outputs are named relative to the manifest, not by absolute path
+        cfg = parse_config(BASE_YAML)
+        manifests = []
+        for name in ("m1", "m1_longer_dir"):
+            result = run_scenario(cfg, out_dir=str(tmp_path / name))
+            with open(result.manifest_path, "rb") as fh:
+                manifests.append(fh.read())
+        assert manifests[0] == manifests[1]
+        curve = json.loads(manifests[0])["curves"][0]
+        assert (curve["records"], curve["roots"]) == ("sweep.csv", "sweep_roots.csv")
+
     def test_epsilon_curves_multiplex_files(self, tmp_path):
         yaml_text = BASE_YAML.replace("points: 9", "points: 3")
         yaml_text = yaml_text.replace("axis: m", "axis: power")
@@ -257,6 +269,53 @@ class TestRunScenario:
             assert fh.read() == b"m,E2,delta0_hz,dDelta0_dE2\n"
         with open(result.roots_paths[0], "rb") as fh:
             assert fh.read() == b"kind,m,delta0_hz,nearest_pzd_m,m_gap\n"
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def run_shipped(name, tmp_path):
+    with open(os.path.join(CONFIGS, f"{name}.yaml"), encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    return run_scenario(cfg, out_dir=str(tmp_path))
+
+
+class TestShippedConfigs:
+    """The three configs/ scenarios, pinned to the roots they produce."""
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("thin_m_sweep", [[("IP", 2.4285125708), ("PZD", 2.42758193802)]]),
+            (
+                "thick_beta_curves",
+                [
+                    [("IP", 2.40482858148), ("PZD", 2.40482858148)],
+                    [("IP", 2.35873926901), ("PZD", 2.36004688054)],
+                    [("IP", 2.29026406339), ("PZD", 2.29836101753)],
+                ],
+            ),
+        ],
+    )
+    def test_m_sweep_roots(self, tmp_path, name, expected):
+        result = run_shipped(name, tmp_path)
+        assert len(result.roots_paths) == len(expected)
+        for path, roots in zip(result.roots_paths, expected):
+            _, rows = read_csv(path)
+            assert [r[0] for r in rows] == [kind for kind, _ in roots]
+            for row, (_, m) in zip(rows, roots):
+                assert float(row[1]) == pytest.approx(m, abs=1e-6)
+
+    def test_omega_scan_crossings(self, tmp_path):
+        result = run_shipped("omega_m_scan", tmp_path)
+        header, rows = read_csv(result.csv_paths[0])
+        assert header == ["omega_m_hz", "E2", "delta0_hz", "dDelta0_dE2"]
+        assert [r[2] for r in rows] == [
+            "1.39187309037", "1.36622016828", "1.34006780297", "1.32038599951",
+            "1.3022319184", "1.28153080812", "1.25654844192", "1.22672460262",
+            "1.1919506098", "1.15225386916", "1.10769396303", "1.05832714514",
+            "1.0041980841",
+        ]
 
 
 class TestCli:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,10 +30,13 @@ from cptsim import (
     ServoScenario,
     asymmetry_shift,
     bessel_family,
+    crossing_and_sensitivity,
     derive_couplings,
     find_ips_and_pzds,
+    harmonic_signals,
     make_signal_function,
     servo_lock_experiment,
+    solve_fourier_amplitudes,
     symmetrizing_detuning,
     zero_crossing,
 )
@@ -121,6 +125,71 @@ class TestZeroCrossing:
             make_signal_function(atom, spec, mod, path="thick")
 
 
+def richardson_power_slope(atom, spec, mod):
+    """d(delta_0)/dE^2 from crossings of `harmonic_signals` solved by brentq
+    to 1e-15 Gamma_g_tilde, Richardson-combining the central differences at
+    power steps 1e-2 and 1e-3 (their O(h^2) errors cancel)."""
+    gt = derive_couplings(atom, spec).Gamma_g_tilde
+
+    def crossing(scale):
+        scaled = spec.scaled(scale)
+        width = derive_couplings(atom, scaled).Gamma_g_tilde
+        return brentq(
+            lambda d: harmonic_signals(atom, scaled, mod, d).S, -width, width,
+            xtol=1e-15 * gt, rtol=4.0 * np.finfo(float).eps,
+        )
+
+    def central(h):
+        return (crossing(1.0 + h) - crossing(1.0 - h)) / (2.0 * h * spec.total_power)
+
+    return (100.0 * central(1e-3) - central(1e-2)) / 99.0
+
+
+class TestCrossingAndSensitivity:
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("m", [2.0, 2.4, 3.2])
+    @pytest.mark.parametrize("w", [0.05, 0.25, 1.0])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    def test_harmonic_slope_is_exact(self, atom, epsilon, w, m, alpha):
+        spec = make_spectrum(m=m, epsilon=epsilon)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = ModulationParams(a=0.2, omega_m=w * gt, alpha=alpha)
+        delta0, slope = crossing_and_sensitivity(
+            atom, spec, mod, allow_asymmetric=True
+        )
+        reference = richardson_power_slope(atom, spec, mod)
+        assert abs(slope - reference) <= 1e-7 * gt / spec.total_power
+        assert delta0 == zero_crossing(atom, spec, mod, xtol=1e-8 * gt)
+
+    def test_truncation_warns_once_per_crossing(self, atom):
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=0.6, omega_m=0.5 * gt)
+        c = derive_couplings(atom, spec)
+
+        def truncation_warnings(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            return [w for w in caught if "truncation degrades" in str(w.message)]
+
+        assert len(truncation_warnings(
+            lambda: crossing_and_sensitivity(atom, spec, mod)
+        )) == 1
+        # the per-solve calls still warn on every call
+        assert len(truncation_warnings(
+            lambda: solve_fourier_amplitudes(c, 0.0, mod)
+        )) == 1
+        assert len(truncation_warnings(
+            lambda: harmonic_signals(atom, spec, mod, 0.0)
+        )) == 1
+        with pytest.warns(UserWarning, match="truncation degrades"):
+            attached = harmonic_signals(atom, spec, mod, 0.0).warnings
+        assert attached == (
+            "modulation index a = 0.6 > 0.5: second-harmonic truncation degrades",
+        )
+
+
 class TestFindIpsAndPzds:
     def test_symmetric_thin_family_ip_coincides_with_pzd(self, atom):
         family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
@@ -168,7 +237,8 @@ class TestFindIpsAndPzds:
 
     def test_bracket_error_names_m_and_power_scale(self, atom, monkeypatch):
         # shrink the crossing bracket (+-Gamma_g_tilde) of the raised-power
-        # solves only, so the sweep fails at its first power step
+        # solves only, so the sweep fails at its first power step (on the
+        # linearized path: the harmonic path's slope makes no such solves)
         family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
@@ -181,7 +251,7 @@ class TestFindIpsAndPzds:
 
         monkeypatch.setattr(sweep, "derive_couplings", narrow)
         with pytest.raises(BracketError) as info:
-            find_ips_and_pzds(atom, mod, family, [2.0, 2.4, 2.8], path="harmonic")
+            find_ips_and_pzds(atom, mod, family, [2.0, 2.4, 2.8], path="linearized")
         msg = str(info.value)
         assert msg.startswith("at m = 2, power scale 1.001: no crossing in bracket")
         assert re.search(r"S\(lo\) = \S+, S\(hi\) = \S+$", msg)

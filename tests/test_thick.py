@@ -10,9 +10,9 @@ from cptsim import (
     CellParams,
     ParameterError,
     averaged_signal,
+    crossing_and_sensitivity,
     derive_couplings,
     linearized_signals,
-    power_slope,
     zero_crossing,
 )
 
@@ -136,7 +136,9 @@ class TestThickRoots:
         mod = modulation_for(atom, spec)
         c = derive_couplings(atom, spec)
         cell = CellParams(LENGTH, 0.0, 64)
-        res = -2.0 * power_slope(atom, spec, mod, path="thick", cell=cell)
+        res = -2.0 * crossing_and_sensitivity(
+            atom, spec, mod, path="thick", cell=cell
+        )[1]
         assert res == pytest.approx(c.delta_nr / spec.total_power, rel=1e-6)
 
     def test_absorption_splits_ip_from_pzd(self, atom):
@@ -144,13 +146,13 @@ class TestThickRoots:
         # makes it finite, separating the two special points
         spec_pzd = make_spectrum(m=2.40483, epsilon=0.0)
         mod = modulation_for(atom, spec_pzd)
-        thin = power_slope(
+        thin = crossing_and_sensitivity(
             atom, spec_pzd, mod, path="thick", cell=CellParams(LENGTH, 0.0, 64)
-        )
-        thick = power_slope(
+        )[1]
+        thick = crossing_and_sensitivity(
             atom, spec_pzd, mod, path="thick",
             cell=CellParams(LENGTH, 0.43 / LENGTH, 64),
-        )
+        )[1]
         assert abs(thick) > 50.0 * abs(thin)
 
     def test_symmetric_only_guards(self, atom):
@@ -160,7 +162,7 @@ class TestThickRoots:
         with pytest.raises(ParameterError, match="E_-1"):
             zero_crossing(atom, spec, mod, path="thick", cell=cell)
         with pytest.raises(ParameterError, match="E_-1"):
-            power_slope(atom, spec, mod, path="thick", cell=cell)
+            crossing_and_sensitivity(atom, spec, mod, path="thick", cell=cell)[1]
 
     def test_flat_signal_has_no_crossing(self, atom):
         # a = 0, or m = 0 where J_1 = 0, leaves S identically 0: no crossing,
