@@ -184,7 +184,7 @@ class SweepConfig(_Block):
         le=1000,
         description=(
             "grid points, at most 1000 to bound one run's work: each point "
-            "costs three crossing solves, up to eight times over after "
+            "costs one crossing solve, up to eight times over after "
             "m-grid densification"
         ),
     )

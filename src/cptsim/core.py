@@ -26,6 +26,7 @@ reduced excited decay `gamma` is the upper-level rate.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,6 +52,17 @@ def require_finite(owner: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ParameterError(f"{owner}.{name} must be finite, got {value}")
+
+
+def require_integer(owner: str, **values: int) -> None:
+    """Raise ParameterError naming the first of `values` that is not an integer."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ParameterError(
+                f"{owner}.{name} must be an integer, got {value!r}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -409,6 +409,33 @@ def closed_form_crossing(
     return -_reduce(g * (x0 * VV + K_term), "sum") / (2.0 * slope)
 
 
+def _closed_form_power_sensitivity(
+    atom: AtomParams,
+    couplings: DerivedCouplings,
+    modulation: ModulationParams,
+    delta0: float,
+) -> float:
+    """d(delta_0)/ds at the `closed_form_crossing` delta0, for E^2 -> s E^2.
+
+    With the slab attenuation held fixed, g_i = s h(Gamma_g_tilde_i) with
+    Gamma_g_tilde_i = Gamma_g + s (V_L + V_R)_i, VV_i scales as s and
+    x0_i VV_i + K_term_i as s^2.  The implicit-function theorem on
+    sum_i g_i drive_i = 0, drive_i = (2 delta + x0_i) VV_i + K_term_i, gives
+    delta0 - sum_i g'_i (V_L + V_R)_i drive_i / (2 sum_i g_i VV_i), with
+    g' = dg/dGamma_g_tilde.  On one point the drive is 0 at the root.
+    """
+    g_S, g_Q, VV, K_term = _first_order(atom, couplings, modulation)
+    gt, w2 = couplings.Gamma_g_tilde, modulation.omega_m**2
+    cos, sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
+    d_log = -4.0 * gt / (gt * gt + w2)  # d log(1/D^2)/dGamma_g_tilde, both gains
+    dg = g_S * (1.0 / gt + d_log) * cos - g_Q * sin * (
+        6.0 * gt / (3.0 * gt * gt + w2) - 2.0 / gt + d_log
+    )
+    drive = (2.0 * delta0 + couplings.delta_r + couplings.delta_nr) * VV + K_term
+    shift = _reduce(dg * (couplings.V_L + couplings.V_R) * drive, "sum")
+    return delta0 - shift / (2.0 * _reduce((g_S * cos - g_Q * sin) * VV, "sum"))
+
+
 def linearized_signals(
     atom: AtomParams,
     spectrum: FieldSpectrum,

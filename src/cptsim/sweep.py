@@ -34,9 +34,11 @@ from .core import (
     bessel_spectrum,
     derive_couplings,
     require_finite,
+    require_integer,
 )
 from .harmonic import (
     HarmonicSignal,
+    _closed_form_power_sensitivity,
     asymmetry_shift,
     closed_form_crossing,
     harmonic_signals,
@@ -45,12 +47,12 @@ from .harmonic import (
 from .thick import CellParams, averaged_signal, slab_couplings
 from .timedomain import integrate_ground_state, lockin
 
-# Relative power step of the central difference `crossing_and_sensitivity`
-# takes on the time-domain, linearized and thick paths (the harmonic path's
-# slope is exact), and the tolerance of every sweep crossing in units of its
-# spectrum's Gamma_g_tilde: far below the public default, so root-finder
-# noise stays small against the difference.
-POWER_STEP = 1e-3
+# The time-domain power slope of `crossing_and_sensitivity` steps the power
+# scale s by +-POWER_STEP and the detuning by +-POWER_STEP * Gamma_g_tilde
+# at the crossing.  Every sweep crossing is solved to SWEEP_XTOL of its
+# spectrum's Gamma_g_tilde, far below the public default, because the power
+# slope is taken at the returned crossing and inherits its error.
+POWER_STEP = 1e-4
 SWEEP_XTOL = 1e-8
 # Midpoint densifications `find_ips_and_pzds` may apply to its m-grid.
 MAX_REFINE = 3
@@ -60,7 +62,6 @@ __all__ = [
     "BracketError",
     "make_signal_function",
     "zero_crossing",
-    "sweep_crossing",
     "crossing_and_sensitivity",
     "bessel_family",
     "SweepRecord",
@@ -149,12 +150,13 @@ def zero_crossing(
     `make_signal_function` of the same inputs, for a caller that evaluates
     it again after the crossing; by default it is built here.
     """
-    couplings = derive_couplings(atom, spectrum)
-    gt = couplings.Gamma_g_tilde
-    if bracket is None:
-        bracket = (-gt, gt)
-    if xtol is None:
-        xtol = 1e-4 * gt
+    if bracket is None or xtol is None or path == "linearized":
+        couplings = derive_couplings(atom, spectrum)
+        gt = couplings.Gamma_g_tilde
+        if bracket is None:
+            bracket = (-gt, gt)
+        if xtol is None:
+            xtol = 1e-4 * gt
     lo, hi = bracket
     if not lo < hi:
         raise ParameterError(f"invalid bracket {bracket}")
@@ -193,31 +195,6 @@ def zero_crossing(
     return float(root)
 
 
-def sweep_crossing(
-    atom: AtomParams,
-    spectrum: FieldSpectrum,
-    modulation: ModulationParams,
-    path: SignalPath = "harmonic",
-    cell: CellParams | None = None,
-    allow_asymmetric: bool = False,
-) -> float:
-    """`zero_crossing` solved to SWEEP_XTOL of the spectrum's own Gamma_g_tilde."""
-    gt = derive_couplings(atom, spectrum).Gamma_g_tilde
-    return zero_crossing(
-        atom, spectrum, modulation, path, cell,
-        xtol=SWEEP_XTOL * gt, allow_asymmetric=allow_asymmetric,
-    )
-
-
-def _named_scale(scale: float, solve: Callable[..., float], *args, **kwargs):
-    """`solve(*args, **kwargs)`, naming the power `scale` in a BracketError
-    or ParameterError."""
-    try:
-        return solve(*args, **kwargs)
-    except (BracketError, ParameterError) as exc:
-        raise type(exc)(f"power scale {scale:.12g}: {exc}") from exc
-
-
 def crossing_and_sensitivity(
     atom: AtomParams,
     spectrum: FieldSpectrum,
@@ -228,38 +205,45 @@ def crossing_and_sensitivity(
 ) -> tuple[float, float]:
     """Zero crossing delta_0 and its power sensitivity d(delta_0)/dE^2.
 
-    The crossing is a `sweep_crossing`.  Its slope is taken with every
-    spectral component scaled uniformly, so the power fractions sigma_k stay
-    fixed; insensitivity points are its roots over the spectrum-family
-    parameter.  On the harmonic path the slope is exact, from the
-    implicit-function theorem on the Fourier system the crossing was solved
-    on (`HarmonicSignal.power_sensitivity`); on the other paths it is the
-    central difference of two more crossings at power scaled by
-    1 +- POWER_STEP.  Units: (rad/s) per unit of E^2 in rad^2/s^2.  A
-    BracketError or ParameterError names the power scale at which it
-    occurred.
+    The crossing is one `zero_crossing` over +-Gamma_g_tilde, solved to
+    SWEEP_XTOL of that width.  Its slope is taken with every spectral
+    component scaled uniformly, E^2 -> s E^2 (sigma_k fixed); insensitivity
+    points are its roots over the spectrum-family parameter.  On every path
+    it is d(delta_0)/ds = -S_s / S_delta at that crossing, from the
+    derivatives of the in-phase signal in s and delta: exact on the
+    harmonic path (`HarmonicSignal.power_sensitivity`) and from the sums of
+    the closed form on the linearized and thick paths (slab attenuation
+    fixed); central differences of the lock-in signal on the time-domain
+    path.  Units: (rad/s) per unit of E^2 in rad^2/s^2.
     """
-    E2 = spectrum.total_power
+    signal = make_signal_function(
+        atom, spectrum, modulation, path, cell, allow_asymmetric
+    )
     if path == "harmonic":
-        signal = make_signal_function(atom, spectrum, modulation, path)
-        gt = signal.couplings.Gamma_g_tilde
-        delta0 = _named_scale(
-            1.0, zero_crossing, atom, spectrum, modulation, path,
-            xtol=SWEEP_XTOL * gt, signal=signal,
-        )
-        return delta0, signal.power_sensitivity(delta0) / E2
-    delta0 = _named_scale(
-        1.0, sweep_crossing, atom, spectrum, modulation, path, cell,
-        allow_asymmetric,
+        couplings = signal.couplings
+    else:
+        couplings = derive_couplings(atom, spectrum)
+    gt = couplings.Gamma_g_tilde
+    delta0 = zero_crossing(
+        atom, spectrum, modulation, path, cell, bracket=(-gt, gt),
+        xtol=SWEEP_XTOL * gt, allow_asymmetric=allow_asymmetric, signal=signal,
     )
-    up, dn = (
-        _named_scale(
-            scale, sweep_crossing, atom, spectrum.scaled(scale), modulation,
-            path, cell, allow_asymmetric,
+    if path == "harmonic":
+        slope = signal.power_sensitivity(delta0)
+    elif path == "time-domain":
+        h, dd = POWER_STEP, POWER_STEP * gt
+        up, dn = (
+            make_signal_function(atom, spectrum.scaled(s), modulation, path)(delta0)
+            for s in (1.0 + h, 1.0 - h)
         )
-        for scale in (1.0 + POWER_STEP, 1.0 - POWER_STEP)
-    )
-    return delta0, (up - dn) / (2.0 * POWER_STEP * E2)
+        S_s = (up - dn) / (2.0 * h)
+        S_delta = (signal(delta0 + dd) - signal(delta0 - dd)) / (2.0 * dd)
+        slope = -S_s / S_delta
+    else:
+        if path == "thick":
+            couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
+        slope = _closed_form_power_sensitivity(atom, couplings, modulation, delta0)
+    return delta0, slope / spectrum.total_power
 
 
 def bessel_family(
@@ -340,7 +324,7 @@ def find_ips_and_pzds(
     midpoint densification: if either root count changes, the densified
     grid is adopted (up to MAX_REFINE times).  `family` and the pair are
     computed once per distinct m.  A BracketError or ParameterError names
-    the m and the power scale at which it occurred.
+    the m at which it occurred.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -348,99 +332,63 @@ def find_ips_and_pzds(
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ParameterError("m_grid must be strictly increasing")
 
-    spectra: dict[float, FieldSpectrum] = {}
-    pairs: dict[float, tuple[float, float]] = {}
+    pairs: dict[float, tuple[float, float, float]] = {}
 
-    def spectrum_at(m: float) -> FieldSpectrum:
-        if m not in spectra:
-            spectra[m] = family(m)
-        return spectra[m]
-
-    def pair_at(m: float) -> tuple[float, float]:
-        """(delta_0, dDelta0_dE2) at m; an error is re-raised naming m."""
+    def pair_at(m: float) -> tuple[float, float, float]:
+        """(delta_0, dDelta0_dE2, E^2) at m; an error is re-raised naming m."""
         if m not in pairs:
+            spectrum = family(m)
             try:
                 pairs[m] = crossing_and_sensitivity(
-                    atom, spectrum_at(m), modulation, path, cell,
-                    allow_asymmetric,
-                )
+                    atom, spectrum, modulation, path, cell, allow_asymmetric
+                ) + (spectrum.total_power,)
             except (BracketError, ParameterError) as exc:
                 raise type(exc)(f"at m = {m:.12g}, {exc}") from exc
         return pairs[m]
 
-    def delta0_at(m: float) -> float:
-        return pair_at(m)[0]
+    def sign_changes(grid: list[float], which: int) -> list[int]:
+        return _sign_change_intervals([pair_at(m)[which] for m in grid])
 
-    def derivative_at(m: float) -> float:
-        return pair_at(m)[1]
-
-    def scan(grid: list[float]) -> tuple[list[float], list[float]]:
-        d0 = [delta0_at(m) for m in grid]
-        dd = [derivative_at(m) for m in grid]
-        return d0, dd
-
-    delta0s, derivs = scan(ms)
     for _ in range(MAX_REFINE):
-        mids = [0.5 * (a + b) for a, b in zip(ms, ms[1:])]
-        mid_d0, mid_dd = scan(mids)
-        dense_ms: list[float] = []
-        dense_d0: list[float] = []
-        dense_dd: list[float] = []
-        for i, m in enumerate(ms):
-            dense_ms.append(m)
-            dense_d0.append(delta0s[i])
-            dense_dd.append(derivs[i])
-            if i < len(mids):
-                dense_ms.append(mids[i])
-                dense_d0.append(mid_d0[i])
-                dense_dd.append(mid_dd[i])
-        stable = len(_sign_change_intervals(dense_d0)) == len(
-            _sign_change_intervals(delta0s)
-        ) and len(_sign_change_intervals(dense_dd)) == len(
-            _sign_change_intervals(derivs)
+        dense = sorted(ms + [0.5 * (a + b) for a, b in zip(ms, ms[1:])])
+        stable = all(
+            len(sign_changes(ms, which)) == len(sign_changes(dense, which))
+            for which in (0, 1)
         )
-        ms, delta0s, derivs = dense_ms, dense_d0, dense_dd
+        ms = dense
         if stable:
             break
+    delta0s, derivs, powers = zip(*(pair_at(m) for m in ms))
 
     xtol_m = 1e-7 * (ms[-1] - ms[0])
-    pzd_roots: list[float] = []
-    pzd_intervals = _sign_change_intervals(delta0s)
-    for i in pzd_intervals:
-        root = brentq(
-            delta0_at, ms[i], ms[i + 1],
-            xtol=xtol_m, rtol=4.0 * np.finfo(float).eps,
-        )
-        pzd_roots.append(float(root))
 
-    ip_roots: list[IpRoot] = []
-    ip_intervals = _sign_change_intervals(derivs)
-    for i in ip_intervals:
-        root = brentq(
-            derivative_at, ms[i], ms[i + 1],
-            xtol=xtol_m, rtol=4.0 * np.finfo(float).eps,
-        )
-        m_ip = float(root)
-        d0_ip = delta0_at(m_ip)
-        if pzd_roots:
-            nearest = min(pzd_roots, key=lambda p: abs(p - m_ip))
-            gap = m_ip - nearest
-        else:
-            nearest, gap = None, None
+    def refine(which: int) -> tuple[list[int], list[float]]:
+        """Sign-change intervals of pair entry `which` and its roots in m."""
+        intervals = sign_changes(ms, which)
+        return intervals, [
+            float(brentq(
+                lambda m: pair_at(m)[which], ms[i], ms[i + 1],
+                xtol=xtol_m, rtol=4.0 * np.finfo(float).eps,
+            ))
+            for i in intervals
+        ]
+
+    pzd_intervals, pzd_roots = refine(0)
+    ip_intervals, ip_ms = refine(1)
+    ip_roots = []
+    for m_ip in ip_ms:
+        nearest = min(pzd_roots, key=lambda p: abs(p - m_ip), default=None)
+        gap = None if nearest is None else m_ip - nearest
         ip_roots.append(
-            IpRoot(m=m_ip, delta0=d0_ip, nearest_pzd_m=nearest, m_gap=gap)
+            IpRoot(m=m_ip, delta0=pair_at(m_ip)[0], nearest_pzd_m=nearest, m_gap=gap)
         )
 
-    near_ip = set()
-    for i in ip_intervals:
-        near_ip.update((i, i + 1))
-    near_pzd = set()
-    for i in pzd_intervals:
-        near_pzd.update((i, i + 1))
+    near_ip = {j for i in ip_intervals for j in (i, i + 1)}
+    near_pzd = {j for i in pzd_intervals for j in (i, i + 1)}
     records = tuple(
         SweepRecord(
             m=m,
-            E2=spectrum_at(m).total_power,
+            E2=powers[i],
             delta0=delta0s[i],
             dDelta0_dE2=derivs[i],
             near_ip=i in near_ip,
@@ -532,6 +480,11 @@ class ServoScenario:
     intensity_period_steps: int = 400
 
     def __post_init__(self) -> None:
+        require_integer(
+            "ServoScenario",
+            n_steps=self.n_steps,
+            intensity_period_steps=self.intensity_period_steps,
+        )
         if self.n_steps < 2:
             raise ParameterError(f"n_steps must be >= 2, got {self.n_steps}")
         if self.gain < 0:

@@ -32,6 +32,7 @@ from .core import (
     derive_couplings,
     nonresonant_shift_components,
     require_finite,
+    require_integer,
 )
 from .harmonic import closed_form_signals
 
@@ -60,9 +61,8 @@ class CellParams:
     n_slabs: int = 64
 
     def __post_init__(self) -> None:
-        require_finite(
-            "CellParams", length=self.length, beta=self.beta, n_slabs=self.n_slabs
-        )
+        require_integer("CellParams", n_slabs=self.n_slabs)
+        require_finite("CellParams", length=self.length, beta=self.beta)
         if self.length <= 0:
             raise ParameterError(f"cell length must be positive, got {self.length}")
         if self.beta < 0:

@@ -125,22 +125,13 @@ class TestZeroCrossing:
             make_signal_function(atom, spec, mod, path="thick")
 
 
-def richardson_power_slope(atom, spec, mod):
-    """d(delta_0)/dE^2 from crossings of `harmonic_signals` solved by brentq
-    to 1e-15 Gamma_g_tilde, Richardson-combining the central differences at
-    power steps 1e-2 and 1e-3 (their O(h^2) errors cancel)."""
-    gt = derive_couplings(atom, spec).Gamma_g_tilde
-
-    def crossing(scale):
-        scaled = spec.scaled(scale)
-        width = derive_couplings(atom, scaled).Gamma_g_tilde
-        return brentq(
-            lambda d: harmonic_signals(atom, scaled, mod, d).S, -width, width,
-            xtol=1e-15 * gt, rtol=4.0 * np.finfo(float).eps,
-        )
-
+def richardson_power_slope(spec, crossing):
+    """d(delta_0)/dE^2 from `crossing(scaled_spectrum)` at power scaled by
+    1 +- h, Richardson-combining the central differences at h = 1e-2 and
+    1e-3 (their O(h^2) errors cancel)."""
     def central(h):
-        return (crossing(1.0 + h) - crossing(1.0 - h)) / (2.0 * h * spec.total_power)
+        up, dn = crossing(spec.scaled(1.0 + h)), crossing(spec.scaled(1.0 - h))
+        return (up - dn) / (2.0 * h * spec.total_power)
 
     return (100.0 * central(1e-3) - central(1e-2)) / 99.0
 
@@ -157,9 +148,82 @@ class TestCrossingAndSensitivity:
         delta0, slope = crossing_and_sensitivity(
             atom, spec, mod, allow_asymmetric=True
         )
-        reference = richardson_power_slope(atom, spec, mod)
+
+        def crossing(scaled):
+            # `harmonic_signals` solved by brentq to 1e-15 Gamma_g_tilde
+            width = derive_couplings(atom, scaled).Gamma_g_tilde
+            return brentq(
+                lambda d: harmonic_signals(atom, scaled, mod, d).S, -width, width,
+                xtol=1e-15 * gt, rtol=4.0 * np.finfo(float).eps,
+            )
+
+        reference = richardson_power_slope(spec, crossing)
         assert abs(slope - reference) <= 1e-7 * gt / spec.total_power
         assert delta0 == zero_crossing(atom, spec, mod, xtol=1e-8 * gt)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("m", [2.0, 2.4, 3.2])
+    @pytest.mark.parametrize("w", [0.05, 0.25, 1.0])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    @pytest.mark.parametrize(
+        "path, beta_l",
+        [("linearized", None), ("thick", 0.0), ("thick", 0.16), ("thick", 0.43)],
+    )
+    def test_closed_form_slope_is_exact(
+        self, atom, path, beta_l, epsilon, w, m, alpha
+    ):
+        # the exact slope of the closed-form sums against a Richardson
+        # reference of closed-form crossings; a central difference at a 1e-3
+        # power step is up to 1.3e-9 Gamma_g_tilde/E^2 off, outside the gate
+        spec = make_spectrum(m=m, epsilon=epsilon)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = ModulationParams(a=0.2, omega_m=w * gt, alpha=alpha)
+        cell = None if beta_l is None else CellParams(0.02, beta_l / 0.02, 64)
+        kw = dict(path=path, cell=cell, allow_asymmetric=True)
+        delta0, slope = crossing_and_sensitivity(atom, spec, mod, **kw)
+        reference = richardson_power_slope(
+            spec, lambda scaled: zero_crossing(atom, scaled, mod, **kw)
+        )
+        assert abs(slope - reference) <= 1e-11 * gt / spec.total_power
+        assert delta0 == zero_crossing(atom, spec, mod, **kw)
+
+    @pytest.mark.parametrize("m", [2.0, 2.4])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    def test_time_domain_slope(self, atom, epsilon, m):
+        # central differences of the lock-in signal at the one crossing,
+        # against a Richardson reference of time-domain crossings solved to
+        # 1e-14 Gamma_g_tilde
+        spec = make_spectrum(m=m, epsilon=epsilon)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = ModulationParams(a=0.2, omega_m=gt, alpha=0.7)
+        _, slope = crossing_and_sensitivity(
+            atom, spec, mod, "time-domain", allow_asymmetric=True
+        )
+        reference = richardson_power_slope(
+            spec,
+            lambda scaled: zero_crossing(
+                atom, scaled, mod, "time-domain", xtol=1e-14 * gt
+            ),
+        )
+        assert abs(slope - reference) <= 1e-7 * gt / spec.total_power
+
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "thick", "time-domain"])
+    def test_one_crossing_per_call(self, atom, path, monkeypatch):
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return zero_crossing(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "zero_crossing", counted)
+        crossing_and_sensitivity(
+            atom, spec, mod, path, CellParams(0.02, 0.43 / 0.02, 64),
+            allow_asymmetric=True,
+        )
+        assert len(calls) == 1
 
     def test_truncation_warns_once_per_crossing(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.2)
@@ -235,25 +299,22 @@ class TestFindIpsAndPzds:
         b = find_ips_and_pzds(atom, mod, family, grid, path="linearized")
         assert a == b
 
-    def test_bracket_error_names_m_and_power_scale(self, atom, monkeypatch):
-        # shrink the crossing bracket (+-Gamma_g_tilde) of the raised-power
-        # solves only, so the sweep fails at its first power step (on the
-        # linearized path: the harmonic path's slope makes no such solves)
+    def test_bracket_error_names_m(self, atom, monkeypatch):
+        # narrow the nominal crossing bracket (+-Gamma_g_tilde) to 1e-6 of
+        # its width, so the sweep fails at its first point
         family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
 
         def narrow(atom, spectrum):
             c = derive_couplings(atom, spectrum)
-            if spectrum.total_power > POWER * (1.0 + 1e-9):
-                c = dataclasses.replace(c, Gamma_g_tilde=1e-6 * c.Gamma_g_tilde)
-            return c
+            return dataclasses.replace(c, Gamma_g_tilde=1e-6 * c.Gamma_g_tilde)
 
         monkeypatch.setattr(sweep, "derive_couplings", narrow)
         with pytest.raises(BracketError) as info:
             find_ips_and_pzds(atom, mod, family, [2.0, 2.4, 2.8], path="linearized")
         msg = str(info.value)
-        assert msg.startswith("at m = 2, power scale 1.001: no crossing in bracket")
+        assert msg.startswith("at m = 2, no crossing in bracket")
         assert re.search(r"S\(lo\) = \S+, S\(hi\) = \S+$", msg)
         assert isinstance(info.value.__cause__, BracketError)
 
@@ -264,9 +325,21 @@ class TestFindIpsAndPzds:
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
         with pytest.raises(ParameterError) as info:
             find_ips_and_pzds(atom, mod, family, [0.0, 0.5, 1.0])
-        assert str(info.value).startswith("at m = 0, power scale 1: ")
+        assert str(info.value).startswith("at m = 0, the in-phase signal")
         assert "no slope in delta" in str(info.value)
         assert isinstance(info.value.__cause__, ParameterError)
+
+    def test_time_domain_roots_match_harmonic(self, atom):
+        family = bessel_family(epsilon=0.2, k_max=5, total_power=POWER, Omega=OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        grid = np.linspace(2.2, 2.6, 5)
+        slow = find_ips_and_pzds(atom, mod, family, grid, path="time-domain")
+        fast = find_ips_and_pzds(atom, mod, family, grid, path="harmonic")
+        assert len(slow.ip_roots) == len(fast.ip_roots) == 1
+        assert len(slow.pzd_roots) == len(fast.pzd_roots) == 1
+        assert slow.ip_roots[0].m == pytest.approx(fast.ip_roots[0].m, abs=1e-4)
+        assert slow.pzd_roots[0] == pytest.approx(fast.pzd_roots[0], abs=1e-4)
 
     def test_grid_validation(self, atom):
         family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
@@ -351,6 +424,14 @@ class TestServo:
             ServoScenario(
                 m_start=2.0, m_stop=3.0, n_steps=100, intensity_period_steps=4
             )
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_steps", 3000.5), ("intensity_period_steps", 400.0)]
+    )
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = dict(m_start=2.0, m_stop=3.0, n_steps=3000)
+        with pytest.raises(ParameterError, match=f"ServoScenario.{field} .*integer"):
+            ServoScenario(**{**kwargs, field: value})
 
     def test_zero_gain_servo_never_moves(self):
         scen = ServoScenario(

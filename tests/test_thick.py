@@ -185,6 +185,12 @@ class TestCellParams:
         with pytest.raises(ParameterError):
             CellParams(length=0.02, n_slabs=4)
 
+    @pytest.mark.parametrize("n_slabs", [64.5, 64.0, "64"])
+    def test_slab_count_must_be_an_integer(self, n_slabs):
+        # 64.5 would build 65 slabs spaced length/64.5, the last at the exit
+        with pytest.raises(ParameterError, match="CellParams.n_slabs .*integer"):
+            CellParams(length=0.02, n_slabs=n_slabs)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
