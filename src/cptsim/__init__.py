@@ -21,12 +21,10 @@ from .core import (
     nonresonant_shift_components,
 )
 from .harmonic import (
-    FourierAmplitudes,
     ShiftBreakdown,
     asymmetry_shift,
     harmonic_signals,
     linearized_signals,
-    signals_from_amplitudes,
     solve_fourier_amplitudes,
 )
 from .sweep import (
@@ -48,9 +46,7 @@ from .sweep import (
 from .thick import CellParams, averaged_signal
 from .timedomain import (
     FullLambdaState,
-    GroundState,
     TimeTrace,
-    absorption,
     integrate_ground_state,
     lockin,
     steady_state_full_lambda,
@@ -67,12 +63,10 @@ __all__ = [
     "bessel_spectrum",
     "derive_couplings",
     "nonresonant_shift_components",
-    "FourierAmplitudes",
     "ShiftBreakdown",
     "asymmetry_shift",
     "harmonic_signals",
     "linearized_signals",
-    "signals_from_amplitudes",
     "solve_fourier_amplitudes",
     "BracketError",
     "IpRoot",
@@ -91,9 +85,7 @@ __all__ = [
     "CellParams",
     "averaged_signal",
     "FullLambdaState",
-    "GroundState",
     "TimeTrace",
-    "absorption",
     "integrate_ground_state",
     "lockin",
     "steady_state_full_lambda",

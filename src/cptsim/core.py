@@ -26,6 +26,7 @@ reduced excited decay `gamma` is the upper-level rate.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -157,7 +158,7 @@ class FieldSpectrum:
             raise ParameterError("spectrum must contain at least one component")
         clean: dict[int, float] = {}
         for k, amp in self.components.items():
-            if k != int(k):
+            if not isinstance(k, numbers.Real) or not math.isfinite(k) or k != int(k):
                 raise ParameterError(f"component index must be an integer, got {k!r}")
             if amp < 0:
                 raise ParameterError(f"amplitude E_{k} must be >= 0, got {amp}")
@@ -190,22 +191,6 @@ class FieldSpectrum:
             Omega=self.Omega,
             components={k: a * root for k, a in self.components.items()},
         )
-
-    def with_resonant_attenuation(self, power_factor: float) -> "FieldSpectrum":
-        """Spectrum with E_{-1}^2 and E_{+1}^2 multiplied by `power_factor`.
-
-        Models propagation through an absorbing medium where only the
-        resonant sidebands decay; the carrier and higher sidebands are too
-        far detuned to be attenuated.
-        """
-        if power_factor < 0:
-            raise ParameterError(f"attenuation factor must be >= 0, got {power_factor}")
-        root = math.sqrt(power_factor)
-        comps = dict(self.components)
-        for k in (-1, 1):
-            if k in comps:
-                comps[k] = comps[k] * root
-        return FieldSpectrum(Omega=self.Omega, components=comps)
 
 
 @dataclass(frozen=True)

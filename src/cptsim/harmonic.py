@@ -10,9 +10,11 @@ detuning-modulation couplings a*omega_m between retained harmonics kept;
 only the coupling to the discarded |k| = 3 tail is neglected, an O(a^3)
 error in the first-harmonic amplitudes.
 
-`solve_fourier_amplitudes` assembles and solves the resulting 15x15 linear
-system; `signals_from_amplitudes` projects the amplitudes onto the lock-in
-references.  `linearized_signals` evaluates the closed-form small-signal
+`HarmonicSignal` assembles the resulting 15x15 linear system once per
+spectrum, solves it at each detuning and projects the amplitudes onto the
+lock-in references; `solve_fourier_amplitudes` and `harmonic_signals` are
+the one-shot forms of the same assembly, solve and projection.
+`linearized_signals` evaluates the closed-form small-signal
 limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
 limit S and Q are both proportional to
@@ -43,9 +45,7 @@ from .core import (
 )
 
 __all__ = [
-    "FourierAmplitudes",
     "solve_fourier_amplitudes",
-    "signals_from_amplitudes",
     "HarmonicSignal",
     "harmonic_signals",
     "linearized_signals",
@@ -54,26 +54,6 @@ __all__ = [
     "ShiftBreakdown",
     "asymmetry_shift",
 ]
-
-
-@dataclass(frozen=True)
-class FourierAmplitudes:
-    """Steady-state Fourier amplitudes of the modulated ground-state variables.
-
-    C_k are the amplitudes of rho_21 = sum_k C_k exp(-i k omega_m t) for
-    k = 0, +-1, +-2.  G_0 is the static population of |2> (in [0, 1]);
-    G_1, G_2 are the complex amplitudes of its modulation, with
-    rho_22 = G_0 + 2 Re[G_1 e^{-i omega_m t}] + 2 Re[G_2 e^{-2i omega_m t}].
-    """
-
-    C0: complex
-    C1: complex
-    Cm1: complex
-    C2: complex
-    Cm2: complex
-    G0: float
-    G1: complex
-    G2: complex
 
 
 # Unknown ordering: [ReC0, ImC0, ReC1, ImC1, ReCm1, ImCm1,
@@ -176,11 +156,12 @@ def solve_fourier_amplitudes(
     couplings: DerivedCouplings,
     delta: float,
     modulation: ModulationParams,
-) -> FourierAmplitudes:
+) -> np.ndarray:
     """Solve the second-harmonic truncation of the modulated model.
 
     `delta` is half the two-photon detuning from the unperturbed 0-0
     resonance; the light shifts delta_r and delta_nr are added internally.
+    Returns the 15 amplitudes C_k, G_k, indexed by the row constants RC0 ... IG2.
     The |k| <= 2 truncation leaves an O(a^3) residual in the first
     harmonics; a > 0.5 is accepted but outside the trusted regime.
     """
@@ -188,17 +169,7 @@ def solve_fourier_amplitudes(
         warnings.warn(_truncation_warning(modulation), stacklevel=2)
     A0, b = _fourier_system(couplings, modulation)
     A = _at_detuning(A0, _dressed_detuning(couplings, delta))
-    x = _solve(A, b, couplings, modulation)
-    return FourierAmplitudes(
-        C0=complex(x[RC0], x[IC0]),
-        C1=complex(x[RC1], x[IC1]),
-        Cm1=complex(x[RCm1], x[ICm1]),
-        C2=complex(x[RC2], x[IC2]),
-        Cm2=complex(x[RCm2], x[ICm2]),
-        G0=float(x[G0]),
-        G1=complex(x[RG1], x[IG1]),
-        G2=complex(x[RG2], x[IG2]),
-    )
+    return _solve(A, b, couplings, modulation)
 
 
 def _lockin_weights(atom: AtomParams, couplings: DerivedCouplings):
@@ -210,21 +181,15 @@ def _lockin_weights(atom: AtomParams, couplings: DerivedCouplings):
     )
 
 
-def signals_from_amplitudes(
-    amplitudes: FourierAmplitudes,
-    atom: AtomParams,
-    couplings: DerivedCouplings,
-    alpha: float = 0.0,
-) -> LockInResult:
-    """Lock-in signals at omega_m implied by a set of Fourier amplitudes.
+def _project(weights, x: np.ndarray):
+    """(S, Q) at detection phase 0 of the amplitudes x, for `_lockin_weights`.
 
-    Normalization matches time-domain demodulation with the 2/T convention:
-    a pure signal c*cos(omega_m t) yields S = c at alpha = 0.
+    With the 2/T lock-in convention, a pure c*cos(omega_m t) yields S = c.
     """
-    pref, dV2, VV = _lockin_weights(atom, couplings)
-    S = pref * (dV2 * amplitudes.G1.real - VV * (amplitudes.C1 + amplitudes.Cm1).real)
-    Q = pref * (dV2 * amplitudes.G1.imag - VV * (amplitudes.C1 - amplitudes.Cm1).imag)
-    return LockInResult(S=S, Q=Q).at_phase(alpha)
+    pref, dV2, VV = weights
+    S = pref * (dV2 * x[RG1] - VV * (x[RC1] + x[RCm1]))
+    Q = pref * (dV2 * x[IG1] - VV * (x[IC1] - x[ICm1]))
+    return S, Q
 
 
 class HarmonicSignal:
@@ -262,10 +227,7 @@ class HarmonicSignal:
         return A, _solve(A, self.b, self.couplings, self.modulation)
 
     def __call__(self, delta: float) -> float:
-        x = self._amplitudes(delta)[1]
-        pref, dV2, VV = self._weights
-        S = pref * (dV2 * x[RG1] - VV * (x[RC1] + x[RCm1]))
-        Q = pref * (dV2 * x[IG1] - VV * (x[IC1] - x[ICm1]))
+        S, Q = _project(self._weights, self._amplitudes(delta)[1])
         return S * self._cos - Q * self._sin
 
     def power_sensitivity(self, delta0: float) -> float:
@@ -301,16 +263,16 @@ def harmonic_signals(
 ) -> LockInResult:
     """Lock-in signals from the second-harmonic truncation, in one call."""
     couplings = derive_couplings(atom, spectrum)
-    amplitudes = solve_fourier_amplitudes(couplings, delta, modulation)
-    result = signals_from_amplitudes(amplitudes, atom, couplings, modulation.alpha)
-    if modulation.beyond_recommended_index:
-        result = LockInResult(
-            S=result.S,
-            Q=result.Q,
-            alpha=result.alpha,
-            warnings=(_truncation_warning(modulation),),
-        )
-    return result
+    x = solve_fourier_amplitudes(couplings, delta, modulation)
+    S, Q = _project(_lockin_weights(atom, couplings), x)
+    warns = (
+        (_truncation_warning(modulation),)
+        if modulation.beyond_recommended_index
+        else ()
+    )
+    return LockInResult(S=float(S), Q=float(Q), warnings=warns).at_phase(
+        modulation.alpha
+    )
 
 
 def _first_order(atom: AtomParams, c: DerivedCouplings, modulation: ModulationParams):

@@ -480,6 +480,13 @@ class ServoScenario:
     intensity_period_steps: int = 400
 
     def __post_init__(self) -> None:
+        require_finite(
+            "ServoScenario",
+            m_start=self.m_start,
+            m_stop=self.m_stop,
+            gain=self.gain,
+            intensity_depth=self.intensity_depth,
+        )
         require_integer(
             "ServoScenario",
             n_steps=self.n_steps,

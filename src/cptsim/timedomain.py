@@ -31,10 +31,8 @@ from .core import (
 )
 
 __all__ = [
-    "GroundState",
     "TimeTrace",
     "integrate_ground_state",
-    "absorption",
     "lockin",
     "FullLambdaState",
     "steady_state_full_lambda",
@@ -43,15 +41,6 @@ __all__ = [
 # Periods in an integrated trace: `lockin` needs at least 4, and on the
 # periodic orbit more periods change nothing but rounding.
 TRACE_PERIODS = 4
-
-
-@dataclass(frozen=True)
-class GroundState:
-    """Reduced ground-state variables at one instant."""
-
-    rho22: float
-    rho11: float
-    rho21: complex
 
 
 @dataclass(frozen=True)
@@ -71,13 +60,6 @@ class TimeTrace:
     dt: float
     n_periods: int
 
-    def state(self, i: int) -> GroundState:
-        return GroundState(
-            rho22=float(self.rho22[i]),
-            rho11=float(self.rho11[i]),
-            rho21=complex(self.rho21[i]),
-        )
-
     def write_csv(self, path: str) -> None:
         """Dump the trace as CSV: t, rho22, rho11, Re_rho21, Im_rho21, kappa."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -92,22 +74,6 @@ class TimeTrace:
                     self.kappa[i],
                 )
                 fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
-
-
-def absorption(
-    state: GroundState, atom: AtomParams, couplings: DerivedCouplings
-) -> float:
-    """Excited-state population kappa fed by the resonant sidebands.
-
-    kappa = (2P/(gamma Gamma)) (calV_L^2 rho22 + calV_R^2 rho11
-            - 2 calV_L calV_R Re rho21); zero for the perfectly dark state.
-    """
-    pref = 2.0 * couplings.P / (atom.gamma * atom.Gamma)
-    return pref * (
-        couplings.calV_L**2 * state.rho22
-        + couplings.calV_R**2 * state.rho11
-        - 2.0 * couplings.calV_L * couplings.calV_R * state.rho21.real
-    )
 
 
 def _rk4_step_maps(

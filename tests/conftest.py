@@ -1,4 +1,4 @@
-"""Shared fixtures: a canonical test atom and spectrum factories.
+"""Shared fixtures: a canonical test atom, spectrum factories and references.
 
 The canonical atom is an alkali D1 lambda system with a 6.83 GHz ground
 splitting; Gamma is kept at 330 MHz so the sideband-spacing validity check
@@ -6,10 +6,19 @@ stays quiet in fixtures.  All constants are angular rad/s.
 """
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from cptsim import AtomParams, FieldSpectrum, ModulationParams, bessel_spectrum
+from cptsim import (
+    AtomParams,
+    FieldSpectrum,
+    ModulationParams,
+    bessel_spectrum,
+    solve_fourier_amplitudes,
+)
+from cptsim import harmonic
 from cptsim.sweep import symmetrizing_detuning
 
 TWO_PI = 2.0 * math.pi
@@ -50,6 +59,54 @@ def pair_spectrum(total_power=POWER, ratio=1.0) -> FieldSpectrum:
     E_R = math.sqrt(total_power / (1.0 + ratio))
     E_L = math.sqrt(total_power * ratio / (1.0 + ratio))
     return FieldSpectrum(Omega=OMEGA, components={-1: E_L, 1: E_R})
+
+
+def resonant_attenuation(spectrum, power_factor) -> FieldSpectrum:
+    """`spectrum` with E_-1^2 and E_+1^2 multiplied by `power_factor`.
+
+    The per-slab reference of a thick cell: only the resonant sidebands are
+    absorbed, the carrier and higher sidebands being too far detuned.
+    """
+    root = math.sqrt(power_factor)
+    comps = dict(spectrum.components)
+    for k in (-1, 1):
+        if k in comps:
+            comps[k] = comps[k] * root
+    return FieldSpectrum(Omega=spectrum.Omega, components=comps)
+
+
+def fourier_amplitudes(couplings, delta, modulation) -> SimpleNamespace:
+    """Named amplitudes of the `solve_fourier_amplitudes` vector.
+
+    C0, C1, Cm1, C2, Cm2 (complex) of rho_21, and G0 (float), G1, G2
+    (complex) of rho_22, read through the harmonic module's row constants.
+    """
+    x = solve_fourier_amplitudes(couplings, delta, modulation)
+    return SimpleNamespace(
+        C0=complex(x[harmonic.RC0], x[harmonic.IC0]),
+        C1=complex(x[harmonic.RC1], x[harmonic.IC1]),
+        Cm1=complex(x[harmonic.RCm1], x[harmonic.ICm1]),
+        C2=complex(x[harmonic.RC2], x[harmonic.IC2]),
+        Cm2=complex(x[harmonic.RCm2], x[harmonic.ICm2]),
+        G0=float(x[harmonic.G0]),
+        G1=complex(x[harmonic.RG1], x[harmonic.IG1]),
+        G2=complex(x[harmonic.RG2], x[harmonic.IG2]),
+    )
+
+
+def kappa(atom, couplings, rho22, rho11, rho21):
+    """Excited-state population fed by the resonant sidebands.
+
+    (2P/(gamma Gamma)) (calV_L^2 rho22 + calV_R^2 rho11
+    - 2 calV_L calV_R Re rho21), elementwise; zero for the dark state.
+    """
+    c = couplings
+    pref = 2.0 * c.P / (atom.gamma * atom.Gamma)
+    return pref * (
+        c.calV_L**2 * rho22
+        + c.calV_R**2 * rho11
+        - 2.0 * c.calV_L * c.calV_R * np.real(rho21)
+    )
 
 
 def make_modulation(a=0.2, omega_m=None, alpha=0.0) -> ModulationParams:

@@ -18,16 +18,16 @@ from conftest import (
     OMEGA_E,
     POWER,
     TWO_PI,
+    fourier_amplitudes,
+    kappa,
     make_atom,
     make_spectrum,
     pair_spectrum,
 )
 from cptsim import (
     CellParams,
-    GroundState,
     ModulationParams,
     ServoScenario,
-    absorption,
     asymmetry_shift,
     bessel_family,
     derive_couplings,
@@ -37,7 +37,6 @@ from cptsim import (
     linearized_signals,
     lockin,
     servo_lock_experiment,
-    solve_fourier_amplitudes,
     steady_state_full_lambda,
     symmetrizing_detuning,
     zero_crossing,
@@ -300,12 +299,8 @@ class TestAcceptance:
         mod = ModulationParams(a=0.0, omega_m=gt)
         errs, scale, sat = [], [], 0.0
         for delta in np.linspace(-1.5, 1.5, 41) * gt:
-            amps = solve_fourier_amplitudes(c, delta, mod)
-            reduced = absorption(
-                GroundState(rho22=amps.G0, rho11=1.0 - amps.G0, rho21=amps.C0),
-                atom,
-                c,
-            )
+            amps = fourier_amplitudes(c, delta, mod)
+            reduced = kappa(atom, c, amps.G0, 1.0 - amps.G0, amps.C0)
             full = steady_state_full_lambda(
                 atom, spec.amplitude(-1), spec.amplitude(1), delta
             )

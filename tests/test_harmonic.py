@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     GAMMA_G,
+    fourier_amplitudes,
     make_atom,
     make_modulation,
     make_spectrum,
@@ -19,7 +20,6 @@ from cptsim import (
     integrate_ground_state,
     linearized_signals,
     lockin,
-    solve_fourier_amplitudes,
     zero_crossing,
 )
 
@@ -53,7 +53,7 @@ class TestFourierAmplitudes:
         c = derive_couplings(atom, spec)
         mod = ModulationParams(a=0.0, omega_m=0.5 * c.Gamma_g_tilde)
         for off in (-0.3 * c.Gamma_g_tilde, 0.0, 0.2 * c.Gamma_g_tilde):
-            amps = solve_fourier_amplitudes(c, centered_delta(atom, spec, off), mod)
+            amps = fourier_amplitudes(c, centered_delta(atom, spec, off), mod)
             C0_ref, G0_ref = stationary_oracle(c, off)
             assert amps.C0.real == pytest.approx(C0_ref.real, rel=1e-10)
             assert amps.C0.imag == pytest.approx(C0_ref.imag, rel=1e-10)
@@ -66,7 +66,7 @@ class TestFourierAmplitudes:
         c = derive_couplings(sym_atom, spec)
         assert c.K == pytest.approx(0.0, abs=1e-12 * c.V_LR)
         mod = make_modulation(a=0.2, omega_m=0.7 * c.Gamma_g_tilde)
-        amps = solve_fourier_amplitudes(
+        amps = fourier_amplitudes(
             c, centered_delta(sym_atom, spec, 0.1 * c.Gamma_g_tilde), mod
         )
         assert abs(amps.G1) <= 1e-12 * max(abs(amps.C1), 1e-30)
@@ -87,7 +87,7 @@ class TestFourierAmplitudes:
             delta = centered_delta(
                 atom, spec, float(rng.uniform(-0.5, 0.5)) * c.Gamma_g_tilde
             )
-            amps = solve_fourier_amplitudes(c, delta, mod)
+            amps = fourier_amplitudes(c, delta, mod)
             assert -1e-9 <= amps.G0 <= 1.0 + 1e-9
 
     def test_index_halving_scales_harmonics(self, atom):
@@ -95,8 +95,8 @@ class TestFourierAmplitudes:
         c = derive_couplings(atom, spec)
         delta = centered_delta(atom, spec, 0.1 * c.Gamma_g_tilde)
         w = 0.5 * c.Gamma_g_tilde
-        full = solve_fourier_amplitudes(c, delta, ModulationParams(a=0.2, omega_m=w))
-        half = solve_fourier_amplitudes(c, delta, ModulationParams(a=0.1, omega_m=w))
+        full = fourier_amplitudes(c, delta, ModulationParams(a=0.2, omega_m=w))
+        half = fourier_amplitudes(c, delta, ModulationParams(a=0.1, omega_m=w))
         assert abs(full.C1) / abs(half.C1) == pytest.approx(2.0, rel=0.05)
         assert abs(full.Cm1) / abs(half.Cm1) == pytest.approx(2.0, rel=0.05)
         assert abs(full.C2) / abs(half.C2) == pytest.approx(4.0, rel=0.05)

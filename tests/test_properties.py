@@ -15,12 +15,14 @@ from conftest import (
     GAMMA_G,
     GAMMA_OPT,
     OMEGA_E,
+    fourier_amplitudes,
     make_atom,
     make_modulation,
     make_spectrum,
 )
 from cptsim import (
     CellParams,
+    LockInResult,
     averaged_signal,
     crossing_and_sensitivity,
     derive_couplings,
@@ -93,12 +95,24 @@ def test_response_is_odd_at_zero_K(m, epsilon, a, w, x):
 )
 def test_assembled_harmonic_signal_is_the_per_call_one(m, epsilon, a, w, alpha, x):
     # the system assembled once per spectrum gives the signal of a fresh
-    # assembly at every detuning, bit for bit
+    # assembly at every detuning, bit for bit; and both are the lock-in
+    # projection of the one-shot Fourier solve, written out here
     spec = make_spectrum(m=m, epsilon=epsilon)
-    gt = derive_couplings(ATOM, spec).Gamma_g_tilde
+    c = derive_couplings(ATOM, spec)
+    gt = c.Gamma_g_tilde
     mod = make_modulation(a=a, omega_m=w * gt, alpha=alpha)
     signal = make_signal_function(ATOM, spec, mod, "harmonic")
-    assert signal(x * gt) == harmonic_signals(ATOM, spec, mod, x * gt).S
+    res = harmonic_signals(ATOM, spec, mod, x * gt)
+    assert signal(x * gt) == res.S
+    amps = fourier_amplitudes(c, x * gt, mod)
+    pref = 4.0 * c.P / (ATOM.gamma * ATOM.Gamma)
+    dV2, VV = c.calV_L**2 - c.calV_R**2, c.calV_L * c.calV_R
+    ref = LockInResult(
+        S=pref * (dV2 * amps.G1.real - VV * (amps.C1 + amps.Cm1).real),
+        Q=pref * (dV2 * amps.G1.imag - VV * (amps.C1 - amps.Cm1).imag),
+    ).at_phase(alpha)
+    assert (res.S, res.Q) == (ref.S, ref.Q)
+    assert type(res.S) is float and type(res.Q) is float
 
 
 @PROPERTY

@@ -433,6 +433,22 @@ class TestServo:
         with pytest.raises(ParameterError, match=f"ServoScenario.{field} .*integer"):
             ServoScenario(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m_start", math.nan),
+            ("m_stop", math.inf),
+            ("gain", math.nan),
+            ("gain", math.inf),
+            ("intensity_depth", math.nan),
+        ],
+    )
+    def test_floats_must_be_finite(self, field, value):
+        kwargs = dict(m_start=2.0, m_stop=3.0, n_steps=3000)
+        match = f"ServoScenario.{field} must be finite"
+        with pytest.raises(ParameterError, match=match):
+            ServoScenario(**{**kwargs, field: value})
+
     def test_zero_gain_servo_never_moves(self):
         scen = ServoScenario(
             m_start=2.4, m_stop=2.5, n_steps=400, gain=0.0,

@@ -5,7 +5,12 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from conftest import make_atom, make_modulation, make_spectrum
+from conftest import (
+    make_atom,
+    make_modulation,
+    make_spectrum,
+    resonant_attenuation,
+)
 from cptsim import (
     CellParams,
     ParameterError,
@@ -51,7 +56,7 @@ class TestAveragedSignal:
             slabs = [
                 linearized_signals(
                     atom,
-                    spec.with_resonant_attenuation(math.exp(-cell.beta * (i + 0.5) * dz)),
+                    resonant_attenuation(spec, math.exp(-cell.beta * (i + 0.5) * dz)),
                     mod,
                     delta,
                 )
@@ -70,8 +75,8 @@ class TestAveragedSignal:
         res = averaged_signal(atom, spec, mod, cell, gt)
         worst = 0.0
         for i in range(64):
-            slab = spec.with_resonant_attenuation(
-                math.exp(-cell.beta * (i + 0.5) * LENGTH / 64)
+            slab = resonant_attenuation(
+                spec, math.exp(-cell.beta * (i + 0.5) * LENGTH / 64)
             )
             c = derive_couplings(atom, slab)
             x = 2.0 * gt + c.delta_r + c.delta_nr

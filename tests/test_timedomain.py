@@ -10,22 +10,21 @@ from conftest import (
     GAMMA_G,
     POWER,
     TWO_PI,
+    fourier_amplitudes,
+    kappa,
     make_atom,
     make_modulation,
     make_spectrum,
     pair_spectrum,
 )
 from cptsim import (
-    GroundState,
     ModulationParams,
     ParameterError,
     TimeTrace,
-    absorption,
     derive_couplings,
     harmonic_signals,
     integrate_ground_state,
     lockin,
-    solve_fourier_amplitudes,
     steady_state_full_lambda,
 )
 
@@ -157,14 +156,13 @@ class TestIntegration:
             delta = dressed_center(atom, spec) + off * gt
             trace = integrate_ground_state(atom, spec, mod, delta)
             spp = round(2.0 * math.pi / mod.omega_m / trace.dt)
-            s0 = trace.state(0)
-            start = (s0.rho22, s0.rho11, s0.rho21.real, s0.rho21.imag)
-            states = rk4_loop(atom, spec, mod, delta, start, 0.0, trace.dt, spp)
+            orbit = np.column_stack(
+                (trace.rho22, trace.rho11, trace.rho21.real, trace.rho21.imag)
+            )
+            states = rk4_loop(atom, spec, mod, delta, orbit[0], 0.0, trace.dt, spp)
             assert np.max(np.abs(states[-1] - states[0])) < 1e-12
             # the orbit's samples are the loop's, not only its endpoint
-            sm = trace.state(spp // 2)
-            mid = (sm.rho22, sm.rho11, sm.rho21.real, sm.rho21.imag)
-            assert np.max(np.abs(states[spp // 2] - mid)) < 1e-12
+            assert np.max(np.abs(states[spp // 2] - orbit[spp // 2])) < 1e-12
 
     def test_lockin_equals_transient_loop(self, atom):
         # the periodic orbit is what a long transient relaxes to: 40 periods
@@ -181,13 +179,10 @@ class TestIntegration:
             -transient * 2.0 * math.pi / mod.omega_m, trace.dt,
             (transient + n_periods) * spp,
         )[transient * spp:]
-        c = derive_couplings(atom, spec)
-        pref = 2.0 * c.P / (atom.gamma * atom.Gamma)
         p2, p1, u, v = states.T
-        kappa = pref * (c.calV_L**2 * p2 + c.calV_R**2 * p1
-                        - 2.0 * c.calV_L * c.calV_R * u)
         looped = TimeTrace(
-            t=trace.t, rho22=p2, rho11=p1, rho21=u + 1j * v, kappa=kappa,
+            t=trace.t, rho22=p2, rho11=p1, rho21=u + 1j * v,
+            kappa=kappa(atom, derive_couplings(atom, spec), p2, p1, u),
             omega_m=mod.omega_m, dt=trace.dt, n_periods=n_periods,
         )
         ref, res = lockin(looped), lockin(trace)
@@ -215,13 +210,13 @@ class TestIntegration:
         trace = integrate_ground_state(atom, spec, mod, dressed_center(atom, spec))
         for i in (0, 17, trace.t.size - 1):
             assert trace.kappa[i] == pytest.approx(
-                absorption(trace.state(i), atom, c), rel=1e-12
+                kappa(atom, c, trace.rho22[i], trace.rho11[i], trace.rho21[i]),
+                rel=1e-12,
             )
 
     def test_dark_state_absorbs_nothing(self, atom):
         c = derive_couplings(atom, make_spectrum(m=2.4, epsilon=0.0))
-        dark = GroundState(rho22=0.5, rho11=0.5, rho21=0.5 + 0j)
-        assert absorption(dark, atom, c) == pytest.approx(
+        assert kappa(atom, c, 0.5, 0.5, 0.5 + 0j) == pytest.approx(
             0.0, abs=1e-12 * c.calV_L**2
         )
 
@@ -247,7 +242,7 @@ class TestAgainstHarmonicWaveform:
         mod = make_modulation(a=0.2, omega_m=0.5 * c.Gamma_g_tilde)
         delta = dressed_center(atom, spec) + 0.1 * c.Gamma_g_tilde
         trace = integrate_ground_state(atom, spec, mod, delta)
-        amps = solve_fourier_amplitudes(c, delta, mod)
+        amps = fourier_amplitudes(c, delta, mod)
         wt = mod.omega_m * trace.t
         rho22 = (
             amps.G0
@@ -261,14 +256,9 @@ class TestAgainstHarmonicWaveform:
             + amps.C2 * np.exp(-2j * wt)
             + amps.Cm2 * np.exp(2j * wt)
         )
-        pref = 2.0 * c.P / (atom.gamma * atom.Gamma)
-        kappa = pref * (
-            c.calV_L**2 * rho22
-            + c.calV_R**2 * (1.0 - rho22)
-            - 2.0 * c.calV_L * c.calV_R * rho21.real
-        )
+        reconstructed = kappa(atom, c, rho22, 1.0 - rho22, rho21)
         swing = trace.kappa.max() - trace.kappa.min()
-        assert np.max(np.abs(kappa - trace.kappa)) <= 0.01 * swing
+        assert np.max(np.abs(reconstructed - trace.kappa)) <= 0.01 * swing
 
     def test_high_harmonics_hold_little_power(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.2)
@@ -318,12 +308,8 @@ class TestFullLambda:
         errs, scale = [], []
         for off in np.linspace(-1.2, 1.2, 7) * gt:
             delta = (off - c.delta_r - c.delta_nr) / 2.0
-            amps = solve_fourier_amplitudes(c, delta, mod)
-            reduced = absorption(
-                GroundState(rho22=amps.G0, rho11=1.0 - amps.G0, rho21=amps.C0),
-                atom,
-                c,
-            )
+            amps = fourier_amplitudes(c, delta, mod)
+            reduced = kappa(atom, c, amps.G0, 1.0 - amps.G0, amps.C0)
             full = steady_state_full_lambda(
                 atom, spec.amplitude(-1), spec.amplitude(1), delta
             )
