@@ -16,7 +16,7 @@ import sys
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .core import ParameterError
-from .runner import run_scenario
+from .runner import emit_csv, run_scenario
 from .sweep import symmetrizing_detuning
 from .timedomain import integrate_ground_state
 
@@ -91,7 +91,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except (ParameterError, ValueError) as exc:
         print(f"trace for {args.config} failed: {exc}", file=sys.stderr)
         return 1
-    trace.write_csv(args.out)
+    emit_csv(
+        args.out,
+        ["t", "rho22", "rho11", "Re_rho21", "Im_rho21", "kappa"],
+        zip(trace.t, trace.rho22, trace.rho11, trace.rho21.real,
+            trace.rho21.imag, trace.kappa),
+    )
     print(args.out)
     return 0
 

@@ -10,6 +10,7 @@ default.
 from __future__ import annotations
 
 import math
+from typing import get_args
 
 import yaml
 from pydantic import (
@@ -22,7 +23,7 @@ from pydantic import (
 )
 
 from .core import AtomParams, FieldSpectrum, ModulationParams, bessel_spectrum
-from .sweep import symmetrizing_detuning
+from .sweep import SignalPath, symmetrizing_detuning
 from .thick import CellParams
 
 __all__ = [
@@ -202,7 +203,7 @@ class SweepConfig(_Block):
     @field_validator("path")
     @classmethod
     def _path_known(cls, v: str) -> str:
-        allowed = ("time-domain", "harmonic", "linearized", "thick")
+        allowed = get_args(SignalPath)
         if v not in allowed:
             raise ValueError(f"path must be one of {allowed}, got {v!r}")
         return v

@@ -111,16 +111,10 @@ class AtomParams:
             dipole_ratio_sq=self.dipole_ratio_sq,
             Delta_L=self.Delta_L,
         )
-        if self.omega_g <= 0:
-            raise ParameterError(f"omega_g must be positive, got {self.omega_g}")
-        if self.omega_e <= 0:
-            raise ParameterError(f"omega_e must be positive, got {self.omega_e}")
-        if self.Gamma <= 0:
-            raise ParameterError(f"Gamma must be positive, got {self.Gamma}")
-        if self.Gamma_g <= 0:
-            raise ParameterError(f"Gamma_g must be positive, got {self.Gamma_g}")
-        if self.gamma <= 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        for name in ("omega_g", "omega_e", "Gamma", "Gamma_g", "gamma"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ParameterError(f"{name} must be positive, got {value}")
         if not 0.0 <= self.dipole_ratio_sq <= 1.0:
             raise ParameterError(
                 f"dipole_ratio_sq must lie in [0, 1], got {self.dipole_ratio_sq}"

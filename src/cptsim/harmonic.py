@@ -20,10 +20,11 @@ limit of the same system (first order in a, K and 2*delta_tilde), and
 limit S and Q are both proportional to
 2 delta_tilde calV_L calV_R + K (calV_L^2 - calV_R^2), so K only shifts the
 dressed detuning, by the same amount at every omega_m.  The closed form is
-written once, for couplings that are floats (one point) or numpy arrays
-over the slabs of a thick cell: `closed_form_signals` averages it over the
-slabs and `closed_form_crossing` solves its root, which needs no root
-finder because the signal is affine in delta.
+written once, in `ClosedFormSignal`, for couplings that are floats (one
+point) or numpy arrays over the slabs of a thick cell: it averages the
+signals over the slabs and solves their root, which needs no root finder
+because the signal is affine in delta.  Each signal object carries its
+width Gamma_g_tilde and its power slope `power_sensitivity`.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ __all__ = [
     "HarmonicSignal",
     "harmonic_signals",
     "linearized_signals",
-    "closed_form_signals",
-    "closed_form_crossing",
+    "ClosedFormSignal",
     "ShiftBreakdown",
     "asymmetry_shift",
 ]
@@ -212,6 +212,7 @@ class HarmonicSignal:
             warnings.warn(_truncation_warning(modulation), stacklevel=2)
         self.couplings = couplings
         self.modulation = modulation
+        self.width = couplings.Gamma_g_tilde
         self.A0, self.b = _fourier_system(couplings, modulation)
         self._weights = _lockin_weights(atom, couplings)
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
@@ -326,76 +327,80 @@ def _regime_warnings(
     return tuple(warns)
 
 
-def closed_form_signals(
-    atom: AtomParams,
-    couplings: DerivedCouplings,
-    modulation: ModulationParams,
-    delta: float,
-) -> LockInResult:
-    """First-order closed-form signals, averaged over the slabs of `couplings`.
+class ClosedFormSignal:
+    """In-phase signal of the first-order closed form, affine in delta.
 
-    `couplings` holds floats for one point (`linearized_signals`) or numpy
-    arrays over the slabs of a cell (`thick.averaged_signal`).
+    `couplings` holds floats for one point (the linearized path) or numpy
+    arrays over the slabs of a cell (`thick.cell_signal`); `width` is
+    Gamma_g_tilde at the point or at the cell entrance.  Every slab signal
+    is g_i (2 delta VV_i + x0_i VV_i + K_i dV2_i), with g_i the gain at the
+    detection phase and x0_i the slab's static shift; the gains and the
+    slope sum_i g_i VV_i are formed once, here.
     """
-    g_S, g_Q, VV, K_term = _first_order(atom, couplings, modulation)
-    x = 2.0 * delta + couplings.delta_r + couplings.delta_nr
-    drive = x * VV + K_term
-    return LockInResult(
-        S=_reduce(g_S * drive, "mean"),
-        Q=_reduce(g_Q * drive, "mean"),
-        warnings=_regime_warnings(atom, couplings, modulation, x),
-    ).at_phase(modulation.alpha)
 
+    def __init__(
+        self,
+        atom: AtomParams,
+        couplings: DerivedCouplings,
+        modulation: ModulationParams,
+        width: float,
+    ):
+        self.atom, self.couplings, self.modulation = atom, couplings, modulation
+        self.width = width
+        self._gains = g_S, g_Q, VV, _ = _first_order(atom, couplings, modulation)
+        self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
+        self._g = g_S * self._cos - g_Q * self._sin
+        self._slope = _reduce(self._g * VV, "sum")
 
-def closed_form_crossing(
-    atom: AtomParams,
-    couplings: DerivedCouplings,
-    modulation: ModulationParams,
-) -> float:
-    """Detuning where the in-phase signal of `closed_form_signals` vanishes.
+    def signals(self, delta: float) -> LockInResult:
+        """Lock-in signals at `delta`, averaged over the slabs."""
+        c = self.couplings
+        g_S, g_Q, VV, K_term = self._gains
+        x = 2.0 * delta + c.delta_r + c.delta_nr
+        drive = x * VV + K_term
+        return LockInResult(
+            S=_reduce(g_S * drive, "mean"),
+            Q=_reduce(g_Q * drive, "mean"),
+            warnings=_regime_warnings(self.atom, c, self.modulation, x),
+        ).at_phase(self.modulation.alpha)
 
-    Every slab signal is g_i (2 delta VV_i + x0_i VV_i + K_i dV2_i), with
-    g_i the gain at the detection phase and x0_i the slab's static shift,
-    so the averaged signal is affine in delta and crosses zero at
-    2 delta = -sum_i g_i (x0_i VV_i + K_i dV2_i) / sum_i g_i VV_i, for
-    symmetric and asymmetric spectra alike.  NaN when the slope vanishes
-    (a = 0, or a resonant sideband absent).
-    """
-    g_S, g_Q, VV, K_term = _first_order(atom, couplings, modulation)
-    alpha = modulation.alpha
-    g = g_S * math.cos(alpha) - g_Q * math.sin(alpha)
-    slope = _reduce(g * VV, "sum")
-    if slope == 0.0:
-        return math.nan
-    x0 = couplings.delta_r + couplings.delta_nr
-    return -_reduce(g * (x0 * VV + K_term), "sum") / (2.0 * slope)
+    def __call__(self, delta: float) -> float:
+        return self.signals(delta).S
 
+    def crossing(self) -> float:
+        """Detuning where the in-phase signal vanishes, with no root finder.
 
-def _closed_form_power_sensitivity(
-    atom: AtomParams,
-    couplings: DerivedCouplings,
-    modulation: ModulationParams,
-    delta0: float,
-) -> float:
-    """d(delta_0)/ds at the `closed_form_crossing` delta0, for E^2 -> s E^2.
+        The averaged signal crosses zero at 2 delta =
+        -sum_i g_i (x0_i VV_i + K_i dV2_i) / sum_i g_i VV_i, for symmetric
+        and asymmetric spectra alike.  NaN when the slope vanishes (a = 0,
+        or a resonant sideband absent).
+        """
+        if self._slope == 0.0:
+            return math.nan
+        _, _, VV, K_term = self._gains
+        x0 = self.couplings.delta_r + self.couplings.delta_nr
+        return -_reduce(self._g * (x0 * VV + K_term), "sum") / (2.0 * self._slope)
 
-    With the slab attenuation held fixed, g_i = s h(Gamma_g_tilde_i) with
-    Gamma_g_tilde_i = Gamma_g + s (V_L + V_R)_i, VV_i scales as s and
-    x0_i VV_i + K_term_i as s^2.  The implicit-function theorem on
-    sum_i g_i drive_i = 0, drive_i = (2 delta + x0_i) VV_i + K_term_i, gives
-    delta0 - sum_i g'_i (V_L + V_R)_i drive_i / (2 sum_i g_i VV_i), with
-    g' = dg/dGamma_g_tilde.  On one point the drive is 0 at the root.
-    """
-    g_S, g_Q, VV, K_term = _first_order(atom, couplings, modulation)
-    gt, w2 = couplings.Gamma_g_tilde, modulation.omega_m**2
-    cos, sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
-    d_log = -4.0 * gt / (gt * gt + w2)  # d log(1/D^2)/dGamma_g_tilde, both gains
-    dg = g_S * (1.0 / gt + d_log) * cos - g_Q * sin * (
-        6.0 * gt / (3.0 * gt * gt + w2) - 2.0 / gt + d_log
-    )
-    drive = (2.0 * delta0 + couplings.delta_r + couplings.delta_nr) * VV + K_term
-    shift = _reduce(dg * (couplings.V_L + couplings.V_R) * drive, "sum")
-    return delta0 - shift / (2.0 * _reduce((g_S * cos - g_Q * sin) * VV, "sum"))
+    def power_sensitivity(self, delta0: float) -> float:
+        """d(delta_0)/ds at the crossing delta0, for E^2 -> s E^2.
+
+        With the slab attenuation held fixed, g_i = s h(Gamma_g_tilde_i) with
+        Gamma_g_tilde_i = Gamma_g + s (V_L + V_R)_i, VV_i scales as s and
+        x0_i VV_i + K_term_i as s^2.  The implicit-function theorem on
+        sum_i g_i drive_i = 0, drive_i = (2 delta + x0_i) VV_i + K_term_i,
+        gives delta0 - sum_i g'_i (V_L + V_R)_i drive_i / (2 sum_i g_i VV_i),
+        with g' = dg/dGamma_g_tilde.  On one point the drive is 0 at the root.
+        """
+        c = self.couplings
+        g_S, g_Q, VV, K_term = self._gains
+        gt, w2 = c.Gamma_g_tilde, self.modulation.omega_m**2
+        d_log = -4.0 * gt / (gt * gt + w2)  # d log(1/D^2)/dGamma_g_tilde, both gains
+        dg = g_S * (1.0 / gt + d_log) * self._cos - g_Q * self._sin * (
+            6.0 * gt / (3.0 * gt * gt + w2) - 2.0 / gt + d_log
+        )
+        drive = (2.0 * delta0 + c.delta_r + c.delta_nr) * VV + K_term
+        shift = _reduce(dg * (c.V_L + c.V_R) * drive, "sum")
+        return delta0 - shift / (2.0 * self._slope)
 
 
 def linearized_signals(
@@ -414,9 +419,8 @@ def linearized_signals(
     outside the regime: |2 delta_tilde| > 0.05 Gamma_g_tilde,
     (Delta_L/Gamma)^2 > 0.1, K^2/Gamma_g_tilde^2 > 0.1, or a > 0.5.
     """
-    return closed_form_signals(
-        atom, derive_couplings(atom, spectrum), modulation, delta
-    )
+    c = derive_couplings(atom, spectrum)
+    return ClosedFormSignal(atom, c, modulation, c.Gamma_g_tilde).signals(delta)
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     Omega = atom.omega_g / 2.0
     sweep = config.sweep
 
+    curve_list = [(None, None)]
     if sweep.curves is not None:
         curve_key, curve_values = sweep.curves.items()
         curve_list = [(curve_key, v) for v in curve_values]
-    else:
-        curve_list = [(None, None)]
 
     csv_paths: list[str] = []
     roots_paths: list[str] = []
@@ -121,9 +120,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             suffix = f"_eps{_fmt(curve_value)}"
 
         modulation = config.modulation.to_params(omega_m_hz)
-        cell = None
-        if config.cell is not None:
-            cell = config.cell.to_params(beta_per_m)
+        cell = None if config.cell is None else config.cell.to_params(beta_per_m)
         spec_cfg = config.spectrum
         family = bessel_family(
             epsilon=spec_cfg.epsilon if epsilon is None else epsilon,

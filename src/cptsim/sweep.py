@@ -21,7 +21,7 @@ intensity is harmonically modulated and the RF power is slowly ramped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -36,22 +36,25 @@ from .core import (
     require_finite,
     require_integer,
 )
-from .harmonic import (
+# perfbench/tracer.py counts signal evaluations through the bindings of
+# `linearized_signals` and `averaged_signal`; they stay bound so the counts
+# read 0 rather than missing.
+from .harmonic import (  # noqa: F401
+    ClosedFormSignal,
     HarmonicSignal,
-    _closed_form_power_sensitivity,
     asymmetry_shift,
-    closed_form_crossing,
     harmonic_signals,
     linearized_signals,
 )
-from .thick import CellParams, averaged_signal, slab_couplings
+from .thick import CellParams, averaged_signal, cell_signal  # noqa: F401
 from .timedomain import integrate_ground_state, lockin
 
-# The time-domain power slope of `crossing_and_sensitivity` steps the power
-# scale s by +-POWER_STEP and the detuning by +-POWER_STEP * Gamma_g_tilde
-# at the crossing.  Every sweep crossing is solved to SWEEP_XTOL of its
-# spectrum's Gamma_g_tilde, far below the public default, because the power
-# slope is taken at the returned crossing and inherits its error.
+# The time-domain power slope (`TimeDomainSignal.power_sensitivity`) steps
+# the power scale s by +-POWER_STEP and the detuning by +-POWER_STEP *
+# Gamma_g_tilde at the crossing.  Every sweep crossing is solved to
+# SWEEP_XTOL of its spectrum's Gamma_g_tilde, far below the public default,
+# because the power slope is taken at the returned crossing and inherits
+# its error.
 POWER_STEP = 1e-4
 SWEEP_XTOL = 1e-8
 # Midpoint densifications `find_ips_and_pzds` may apply to its m-grid.
@@ -93,6 +96,40 @@ def brentq(f, a, b, **kwargs):
     return scipy_brentq(f, a, b, **kwargs)
 
 
+@dataclass(frozen=True)
+class TimeDomainSignal:
+    """In-phase lock-in signal of the time-domain path.
+
+    Each evaluation integrates the periodic orbit and demodulates it.
+    """
+
+    atom: AtomParams
+    spectrum: FieldSpectrum
+    modulation: ModulationParams
+    width: float
+
+    def __call__(self, delta: float) -> float:
+        trace = integrate_ground_state(self.atom, self.spectrum, self.modulation, delta)
+        return lockin(trace, self.modulation.alpha).S
+
+    def power_sensitivity(self, delta0: float) -> float:
+        """d(delta_0)/ds = -S_s / S_delta at a crossing delta0.
+
+        Both derivatives are central differences, four integrations in all.
+        """
+        h, dd = POWER_STEP, POWER_STEP * self.width
+        up, dn = (
+            replace(self, spectrum=self.spectrum.scaled(s))(delta0)
+            for s in (1.0 + h, 1.0 - h)
+        )
+        S_s = (up - dn) / (2.0 * h)
+        S_delta = (self(delta0 + dd) - self(delta0 - dd)) / (2.0 * dd)
+        return -S_s / S_delta
+
+
+Signal = TimeDomainSignal | HarmonicSignal | ClosedFormSignal
+
+
 def make_signal_function(
     atom: AtomParams,
     spectrum: FieldSpectrum,
@@ -100,31 +137,29 @@ def make_signal_function(
     path: SignalPath = "harmonic",
     cell: CellParams | None = None,
     allow_asymmetric: bool = False,
-) -> Callable[[float], float]:
+) -> Signal:
     """In-phase signal S as a function of the detuning delta, on one path.
 
-    On the harmonic path this is a `HarmonicSignal`: the Fourier system is
-    assembled here, once, and each evaluation is one solve.
+    The only place that dispatches on `path`, and where the couplings are
+    built, once.  The returned object is called as S(delta) and carries
+    `width` (Gamma_g_tilde at the point, or at the cell entrance) and
+    `power_sensitivity(delta0)`, d(delta_0)/ds at a crossing for the power
+    scale E^2 -> s E^2.  The affine paths return a `ClosedFormSignal`, whose
+    `crossing()` is closed-form; the harmonic Fourier system is assembled
+    here, and each evaluation is one solve.
     """
+    if path == "thick" and cell is None:
+        raise ParameterError("thick signal path requires cell parameters")
+    c = derive_couplings(atom, spectrum)
     if path == "time-domain":
-        def signal(delta: float) -> float:
-            trace = integrate_ground_state(atom, spectrum, modulation, delta)
-            return lockin(trace, modulation.alpha).S
-    elif path == "harmonic":
-        signal = HarmonicSignal(atom, derive_couplings(atom, spectrum), modulation)
-    elif path == "linearized":
-        def signal(delta: float) -> float:
-            return linearized_signals(atom, spectrum, modulation, delta).S
-    elif path == "thick":
-        if cell is None:
-            raise ParameterError("thick signal path requires cell parameters")
-        def signal(delta: float) -> float:
-            return averaged_signal(
-                atom, spectrum, modulation, cell, delta, allow_asymmetric
-            ).S
-    else:
-        raise ParameterError(f"unknown signal path {path!r}")
-    return signal
+        return TimeDomainSignal(atom, spectrum, modulation, c.Gamma_g_tilde)
+    if path == "harmonic":
+        return HarmonicSignal(atom, c, modulation)
+    if path == "linearized":
+        return ClosedFormSignal(atom, c, modulation, c.Gamma_g_tilde)
+    if path == "thick":
+        return cell_signal(atom, spectrum, c, modulation, cell, allow_asymmetric)
+    raise ParameterError(f"unknown signal path {path!r}")
 
 
 def zero_crossing(
@@ -136,7 +171,7 @@ def zero_crossing(
     bracket: tuple[float, float] | None = None,
     xtol: float | None = None,
     allow_asymmetric: bool = False,
-    signal: Callable[[float], float] | None = None,
+    signal: Signal | None = None,
 ) -> float:
     """Detuning delta_0 where the in-phase signal crosses zero.
 
@@ -150,20 +185,14 @@ def zero_crossing(
     `make_signal_function` of the same inputs, for a caller that evaluates
     it again after the crossing; by default it is built here.
     """
-    if bracket is None or xtol is None or path == "linearized":
-        couplings = derive_couplings(atom, spectrum)
-        gt = couplings.Gamma_g_tilde
-        if bracket is None:
-            bracket = (-gt, gt)
-        if xtol is None:
-            xtol = 1e-4 * gt
-    lo, hi = bracket
-    if not lo < hi:
-        raise ParameterError(f"invalid bracket {bracket}")
     if signal is None:
         signal = make_signal_function(
             atom, spectrum, modulation, path, cell, allow_asymmetric
         )
+    gt = signal.width
+    lo, hi = (-gt, gt) if bracket is None else bracket
+    if not lo < hi:
+        raise ParameterError(f"invalid bracket {bracket}")
     no_slope = (
         "the in-phase signal has no slope in delta "
         f"(modulation index a = {modulation.a})"
@@ -172,10 +201,8 @@ def zero_crossing(
         # S is identically 0; the time-domain lock-in would leave round-off,
         # whose sign Brent's method would follow to a spurious crossing
         raise ParameterError(no_slope)
-    if path in ("linearized", "thick"):
-        if path == "thick":
-            couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
-        root = closed_form_crossing(atom, couplings, modulation)
+    if isinstance(signal, ClosedFormSignal):
+        root = signal.crossing()
         if lo <= root <= hi:
             return root
         # outside the bracket (or no slope): the endpoint checks below report it
@@ -191,6 +218,7 @@ def zero_crossing(
             f"no crossing in bracket [{lo:.6g}, {hi:.6g}] rad/s: "
             f"S(lo) = {S_lo:.6g}, S(hi) = {S_hi:.6g}"
         )
+    xtol = 1e-4 * gt if xtol is None else xtol
     root = brentq(signal, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps)
     return float(root)
 
@@ -219,31 +247,10 @@ def crossing_and_sensitivity(
     signal = make_signal_function(
         atom, spectrum, modulation, path, cell, allow_asymmetric
     )
-    if path == "harmonic":
-        couplings = signal.couplings
-    else:
-        couplings = derive_couplings(atom, spectrum)
-    gt = couplings.Gamma_g_tilde
     delta0 = zero_crossing(
-        atom, spectrum, modulation, path, cell, bracket=(-gt, gt),
-        xtol=SWEEP_XTOL * gt, allow_asymmetric=allow_asymmetric, signal=signal,
+        atom, spectrum, modulation, xtol=SWEEP_XTOL * signal.width, signal=signal
     )
-    if path == "harmonic":
-        slope = signal.power_sensitivity(delta0)
-    elif path == "time-domain":
-        h, dd = POWER_STEP, POWER_STEP * gt
-        up, dn = (
-            make_signal_function(atom, spectrum.scaled(s), modulation, path)(delta0)
-            for s in (1.0 + h, 1.0 - h)
-        )
-        S_s = (up - dn) / (2.0 * h)
-        S_delta = (signal(delta0 + dd) - signal(delta0 - dd)) / (2.0 * dd)
-        slope = -S_s / S_delta
-    else:
-        if path == "thick":
-            couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
-        slope = _closed_form_power_sensitivity(atom, couplings, modulation, delta0)
-    return delta0, slope / spectrum.total_power
+    return delta0, signal.power_sensitivity(delta0) / spectrum.total_power
 
 
 def bessel_family(
@@ -297,13 +304,17 @@ class SweepResult:
 
 
 def _sign_change_intervals(values: Sequence[float]) -> list[int]:
-    """Indices i where values[i] and values[i+1] have opposite (or zero) sign."""
-    out = []
-    for i in range(len(values) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0 or (a > 0) != (b > 0):
-            out.append(i)
-    return out
+    """Indices i where values[i] and values[i+1] have opposite signs.
+
+    A value that is exactly 0 counts once, whichever way the values pass
+    through it: in the interval it starts, or in the last interval when it
+    ends the grid.
+    """
+    last = len(values) - 2
+    return [
+        i for i, (a, b) in enumerate(zip(values, values[1:]))
+        if a == 0.0 or a * b < 0.0 or (b == 0.0 and i == last)
+    ]
 
 
 def find_ips_and_pzds(
@@ -386,14 +397,7 @@ def find_ips_and_pzds(
     near_ip = {j for i in ip_intervals for j in (i, i + 1)}
     near_pzd = {j for i in pzd_intervals for j in (i, i + 1)}
     records = tuple(
-        SweepRecord(
-            m=m,
-            E2=powers[i],
-            delta0=delta0s[i],
-            dDelta0_dE2=derivs[i],
-            near_ip=i in near_ip,
-            near_pzd=i in near_pzd,
-        )
+        SweepRecord(m, powers[i], delta0s[i], derivs[i], i in near_ip, i in near_pzd)
         for i, m in enumerate(ms)
     )
     return SweepResult(
@@ -542,8 +546,9 @@ def servo_lock_experiment(
     """
     start_spectrum = family(scenario.m_start)
     ref = asymmetry_shift(atom, start_spectrum, modulation)
-    capture = derive_couplings(atom, start_spectrum).Gamma_g_tilde
-    delta = zero_crossing(atom, start_spectrum, modulation, path="harmonic")
+    signal = make_signal_function(atom, start_spectrum, modulation)
+    capture = signal.width
+    delta = zero_crossing(atom, start_spectrum, modulation, signal=signal)
 
     n = scenario.n_steps
     ms = np.linspace(scenario.m_start, scenario.m_stop, n)

@@ -11,9 +11,9 @@ points and points of zero displacement.
 The slab-local signal is the closed-form linearized one; the cell integral
 is a composite midpoint sum over `n_slabs` slabs (the default count is
 convergence-checked: doubling it moves the averaged signal by well under
-0.1% in the regimes of interest).  `slab_couplings` builds the couplings of
-every slab at once as numpy arrays over z, and the closed form of
-`harmonic` evaluates them in one pass; no slab is visited in Python.
+0.1% in the regimes of interest).  `cell_signal` builds the couplings of
+every slab at once as numpy arrays over z, and `harmonic.ClosedFormSignal`
+evaluates them in one pass; no slab is visited in Python.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .core import (
     require_finite,
     require_integer,
 )
-from .harmonic import closed_form_signals
+from .harmonic import ClosedFormSignal
 
 # perfbench/tracer.py counts per-slab calls through this binding; it stays
 # bound so the count reads 0 rather than missing.
@@ -42,7 +42,7 @@ from .harmonic import linearized_signals  # noqa: F401
 
 __all__ = [
     "CellParams",
-    "slab_couplings",
+    "cell_signal",
     "averaged_signal",
 ]
 
@@ -71,21 +71,26 @@ class CellParams:
             raise ParameterError(f"n_slabs must be >= 8, got {self.n_slabs}")
 
 
-def slab_couplings(
+def cell_signal(
     atom: AtomParams,
     spectrum: FieldSpectrum,
+    c: DerivedCouplings,
+    modulation: ModulationParams,
     cell: CellParams,
     allow_asymmetric: bool = False,
-) -> DerivedCouplings:
-    """Couplings at the slab midpoints z_i = (i + 1/2) length/n_slabs.
+) -> ClosedFormSignal:
+    """In-phase signal averaged over the slabs of the cell.
 
-    Every field except P is a numpy array over the slabs.  Only the resonant
-    pair is attenuated, by t = e^{-beta z} in power, so V_L, V_R, V_LR, K
-    and delta_r scale with t, calV_L and calV_R with sqrt(t),
+    `spectrum` is the field at the cell entrance and `c` its
+    `derive_couplings`; the signal's width is the entrance Gamma_g_tilde.
+    The slab couplings are taken at the slab midpoints
+    z_i = (i + 1/2) length/n_slabs, and every one except P is a numpy array
+    over the slabs, built from `c` at once.  Only the resonant pair is
+    attenuated, by t = e^{-beta z} in power, so V_L, V_R, V_LR, K and
+    delta_r scale with t, calV_L and calV_R with sqrt(t),
     Gamma_g_tilde = Gamma_g + t (V_L + V_R), and delta_nr keeps its
-    non-resonant part plus t times the resonant pair's share.  All of it
-    comes from one `derive_couplings` of the entrance spectrum.  A
-    transparent cell is a single slab holding the entrance values exactly.
+    non-resonant part plus t times the resonant pair's share.  A transparent
+    cell is a single slab holding the entrance values exactly.
 
     The z-average is derived for symmetric resonant sidebands; pass
     `allow_asymmetric=True` to average asymmetric spectra anyway (an
@@ -97,13 +102,12 @@ def slab_couplings(
             "the thick-cell average requires symmetric resonant sidebands "
             f"(E_-1 = {EL}, E_+1 = {ER})"
         )
-    c = derive_couplings(atom, spectrum)
     n = cell.n_slabs if cell.beta > 0.0 else 1
     t = np.exp(-cell.beta * ((np.arange(n) + 0.5) * (cell.length / n)))
     loss = 1.0 - t  # written as a loss so that t = 1 reproduces c exactly
     root = np.sqrt(t)
     shares = nonresonant_shift_components(atom, spectrum)
-    return DerivedCouplings(
+    slabs = DerivedCouplings(
         V_L=t * c.V_L,
         V_R=t * c.V_R,
         V_LR=t * c.V_LR,
@@ -115,6 +119,7 @@ def slab_couplings(
         calV_L=root * c.calV_L,
         calV_R=root * c.calV_R,
     )
+    return ClosedFormSignal(atom, slabs, modulation, c.Gamma_g_tilde)
 
 
 def averaged_signal(
@@ -130,5 +135,6 @@ def averaged_signal(
     `spectrum` is the field at the cell entrance.  Each regime warning of
     the linearized form is reported once, at its worst slab.
     """
-    couplings = slab_couplings(atom, spectrum, cell, allow_asymmetric)
-    return closed_form_signals(atom, couplings, modulation, delta)
+    c = derive_couplings(atom, spectrum)
+    signal = cell_signal(atom, spectrum, c, modulation, cell, allow_asymmetric)
+    return signal.signals(delta)

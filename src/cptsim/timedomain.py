@@ -60,21 +60,6 @@ class TimeTrace:
     dt: float
     n_periods: int
 
-    def write_csv(self, path: str) -> None:
-        """Dump the trace as CSV: t, rho22, rho11, Re_rho21, Im_rho21, kappa."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,rho22,rho11,Re_rho21,Im_rho21,kappa\n")
-            for i in range(self.t.size):
-                row = (
-                    self.t[i],
-                    self.rho22[i],
-                    self.rho11[i],
-                    self.rho21[i].real,
-                    self.rho21[i].imag,
-                    self.kappa[i],
-                )
-                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
-
 
 def _rk4_step_maps(
     c: DerivedCouplings, omega_m: float, x0: float, x1: float, h: float, spp: int

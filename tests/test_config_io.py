@@ -11,6 +11,7 @@ from cptsim import symmetrizing_detuning
 from cptsim.cli import main
 from cptsim.config import ConfigError, parse_config, serialize_config
 from cptsim.runner import emit_csv, run_scenario
+from cptsim.timedomain import integrate_ground_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -410,3 +411,14 @@ class TestCli:
         assert header == ["t", "rho22", "rho11", "Re_rho21", "Im_rho21", "kappa"]
         assert len(rows) > 200
         assert float(rows[0][0]) == 0.0
+        config = parse_config(BASE_YAML)
+        atom = config.atom.to_params()
+        trace = integrate_ground_state(
+            atom,
+            config.spectrum.to_spectrum(atom.omega_g / 2.0),
+            config.modulation.to_params(),
+            TWO_PI * 50.0,
+        )
+        assert len(rows) == trace.t.size
+        assert float(rows[0][5]) == pytest.approx(trace.kappa[0], rel=1e-11)
+        assert float(rows[-1][0]) == pytest.approx(trace.t[-1], rel=1e-11)

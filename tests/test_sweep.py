@@ -4,6 +4,8 @@ import dataclasses
 import math
 import re
 import warnings
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from conftest import (
 )
 from scipy.optimize import brentq
 
-from cptsim import sweep
+from cptsim import harmonic, sweep, thick
 from cptsim import (
     BracketError,
     CellParams,
@@ -225,6 +227,39 @@ class TestCrossingAndSensitivity:
         )
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "path, derived, slab_builds",
+        [("harmonic", 1, 0), ("linearized", 1, 0), ("thick", 1, 1)],
+    )
+    def test_couplings_built_once_per_call(
+        self, atom, path, derived, slab_builds, monkeypatch
+    ):
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (sweep, harmonic, thick):
+            monkeypatch.setattr(
+                module, "derive_couplings",
+                counting("derive", module.derive_couplings),
+            )
+        # every slab array set is one DerivedCouplings built in thick
+        monkeypatch.setattr(
+            thick, "DerivedCouplings", counting("slabs", thick.DerivedCouplings)
+        )
+        crossing_and_sensitivity(
+            atom, spec, mod, path, CellParams(0.02, 0.43 / 0.02, 64),
+            allow_asymmetric=True,
+        )
+        assert (calls["derive"], calls["slabs"]) == (derived, slab_builds)
+
     def test_truncation_warns_once_per_crossing(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.2)
         gt = derive_couplings(atom, spec).Gamma_g_tilde
@@ -298,6 +333,28 @@ class TestFindIpsAndPzds:
         a = find_ips_and_pzds(atom, mod, family, grid, path="linearized")
         b = find_ips_and_pzds(atom, mod, family, grid, path="linearized")
         assert a == b
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "grid",
+        [[2.0, 2.2, 2.4, 2.6, 2.8], [2.0, 2.2, 2.4], [2.4, 2.6, 2.8]],
+    )
+    def test_grid_zero_is_one_root_either_way(
+        self, atom, direction, grid, monkeypatch
+    ):
+        # both entries of the pair pass through 0 exactly at the grid point
+        # m = 2.4, falling (direction 1) or rising (direction -1)
+        def pair(atom, spectrum, *args):
+            return direction * (2.4 - spectrum.m), -direction * (2.4 - spectrum.m)
+
+        monkeypatch.setattr(sweep, "crossing_and_sensitivity", pair)
+        res = find_ips_and_pzds(
+            atom, make_modulation(),
+            lambda m: SimpleNamespace(m=m, total_power=1.0), grid,
+        )
+        assert res.pzd_roots == (2.4,)
+        assert [ip.m for ip in res.ip_roots] == [2.4]
+        assert res.ip_roots[0].m_gap == 0.0
 
     def test_bracket_error_names_m(self, atom, monkeypatch):
         # narrow the nominal crossing bracket (+-Gamma_g_tilde) to 1e-6 of

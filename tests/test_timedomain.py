@@ -1,6 +1,5 @@
 """Time-domain integration, lock-in demodulation, and the 4-level oracle."""
 
-import csv
 import math
 
 import numpy as np
@@ -219,20 +218,6 @@ class TestIntegration:
         assert kappa(atom, c, 0.5, 0.5, 0.5 + 0j) == pytest.approx(
             0.0, abs=1e-12 * c.calV_L**2
         )
-
-    def test_write_csv_round_trip(self, atom, tmp_path):
-        spec = make_spectrum(m=2.4, epsilon=0.2)
-        gt = derive_couplings(atom, spec).Gamma_g_tilde
-        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
-        trace = integrate_ground_state(atom, spec, mod, dressed_center(atom, spec))
-        path = tmp_path / "trace.csv"
-        trace.write_csv(str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "rho22", "rho11", "Re_rho21", "Im_rho21", "kappa"]
-        assert len(rows) == trace.t.size + 1
-        assert float(rows[1][5]) == pytest.approx(trace.kappa[0], rel=1e-11)
-        assert float(rows[-1][0]) == pytest.approx(trace.t[-1], rel=1e-11)
 
 
 class TestAgainstHarmonicWaveform:
