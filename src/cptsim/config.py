@@ -18,6 +18,7 @@ from pydantic import (
     ConfigDict,
     Field,
     ValidationError,
+    create_model,
     field_validator,
     model_validator,
 )
@@ -41,6 +42,24 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# The sweep vocabulary.  A sweep point maps point fields to the values that
+# replace the config's own.  Axis -> the point field it sets, which also
+# heads its records column:
+SWEEP_AXES = {
+    "m": "m",
+    "omega_m": "omega_m_hz",
+    "beta": "beta_per_m",
+    "epsilon": "epsilon",
+    "power": "power_scale",
+}
+# Curve key -> (point field, file tag, whether values are divided by the
+# cell length); files are <prefix>_<tag><value>.csv.  beta_l is beta*l.
+CURVE_KEYS = {
+    "omega_m_hz": ("omega_m_hz", "wm", False),
+    "beta_l": ("beta_per_m", "bl", True),
+    "epsilon": ("epsilon", "eps", False),
+}
 
 
 class ConfigError(ValueError):
@@ -123,14 +142,9 @@ class SpectrumConfig(_Block):
     def total_power(self) -> float:
         return (TWO_PI * 1e3 * self.rabi_khz) ** 2
 
-    def to_spectrum(self, Omega: float, m: float | None = None,
-                    epsilon: float | None = None) -> FieldSpectrum:
+    def to_spectrum(self, Omega: float) -> FieldSpectrum:
         return bessel_spectrum(
-            m=self.m if m is None else m,
-            epsilon=self.epsilon if epsilon is None else epsilon,
-            k_max=self.k_max,
-            total_power=self.total_power,
-            Omega=Omega,
+            self.m, self.epsilon, self.k_max, self.total_power, Omega
         )
 
 
@@ -144,40 +158,38 @@ class CellConfig(_Block):
         return CellParams(length=self.length_m, beta=beta, n_slabs=self.n_slabs)
 
 
-class CurvesConfig(_Block):
-    """Optional curve multiplexing: one output file per listed value."""
+class _Curves(_Block):
+    """Optional curve multiplexing: one output file per listed value.
 
-    omega_m_hz: list[float] | None = None
-    beta_l: list[float] | None = None
-    epsilon: list[float] | None = None
+    Its fields are the keys of CURVE_KEYS, and exactly one is set.
+    """
 
     @model_validator(mode="after")
-    def _exactly_one(self) -> "CurvesConfig":
-        set_keys = [
-            k for k in ("omega_m_hz", "beta_l", "epsilon")
-            if getattr(self, k) is not None
-        ]
+    def _exactly_one(self) -> "_Curves":
+        keys = list(type(self).model_fields)
+        set_keys = [k for k in keys if getattr(self, k) is not None]
         if len(set_keys) != 1:
             raise ValueError(
-                f"curves must set exactly one of omega_m_hz, beta_l, epsilon; "
+                f"curves must set exactly one of {', '.join(keys)}; "
                 f"got {set_keys or 'none'}"
             )
-        key = set_keys[0]
-        values = getattr(self, key)
-        if not values:
-            raise ValueError(f"curves.{key} must be a non-empty list")
+        if not getattr(self, set_keys[0]):
+            raise ValueError(f"curves.{set_keys[0]} must be a non-empty list")
         return self
 
     def items(self) -> tuple[str, list[float]]:
-        for k in ("omega_m_hz", "beta_l", "epsilon"):
-            v = getattr(self, k)
-            if v is not None:
-                return k, v
-        raise ConfigError("curves must set one of omega_m_hz, beta_l, epsilon")
+        """The one key that is set, and its values."""
+        return next((k, v) for k, v in self if v is not None)
+
+
+CurvesConfig = create_model(
+    "CurvesConfig", __base__=_Curves, __module__=__name__,
+    **{key: (list[float] | None, None) for key in CURVE_KEYS},
+)
 
 
 class SweepConfig(_Block):
-    axis: str = Field(description="m, omega_m, beta, epsilon, or power")
+    axis: str = Field(description="a key of SWEEP_AXES")
     start: float
     stop: float
     points: int = Field(
@@ -195,7 +207,7 @@ class SweepConfig(_Block):
     @field_validator("axis")
     @classmethod
     def _axis_known(cls, v: str) -> str:
-        allowed = ("m", "omega_m", "beta", "epsilon", "power")
+        allowed = tuple(SWEEP_AXES)
         if v not in allowed:
             raise ValueError(f"axis must be one of {allowed}, got {v!r}")
         return v
@@ -235,21 +247,33 @@ class ScenarioConfig(_Block):
     @model_validator(mode="after")
     def _cross_block(self) -> "ScenarioConfig":
         problems: list[str] = []
-        needs_cell = (
-            self.sweep.path == "thick"
-            or self.sweep.axis == "beta"
-            or (self.sweep.curves is not None and self.sweep.curves.beta_l is not None)
-        )
-        if needs_cell and self.cell is None:
+        sweep = self.sweep
+        # who sets each point field: the axis, then the curves
+        setters = {SWEEP_AXES[sweep.axis]: f"axis {sweep.axis}"}
+        if sweep.curves is not None:
+            key, _ = sweep.curves.items()
+            field = CURVE_KEYS[key][0]
+            if field in setters:
+                problems.append(
+                    f"curves.{key} sets {field}, which {setters[field]} "
+                    f"already sweeps"
+                )
+            setters.setdefault(field, f"curves.{key}")
+        beta_setter = setters.get("beta_per_m")
+        if self.cell is None and (sweep.path == "thick" or beta_setter):
             problems.append(
-                "cell block is required for the thick path, the beta axis, "
-                "or beta_l curves"
+                f"cell block is required for {beta_setter or 'the thick path'}"
             )
-        if self.sweep.axis == "epsilon":
-            hi = max(abs(self.sweep.start), abs(self.sweep.stop))
+        if beta_setter and sweep.path != "thick":
+            problems.append(
+                f"{beta_setter} sets the cell's beta_per_m, which only the "
+                f"thick path uses; path {sweep.path!r} ignores the cell"
+            )
+        if sweep.axis == "epsilon":
+            hi = max(abs(sweep.start), abs(sweep.stop))
             if hi >= 1.0:
                 problems.append("epsilon axis range must stay within |epsilon| < 1")
-        if self.sweep.axis == "power" and self.sweep.start <= 0:
+        if sweep.axis == "power" and sweep.start <= 0:
             problems.append("power axis values are scale factors and must be > 0")
         if problems:
             raise ValueError("; ".join(problems))

@@ -367,14 +367,10 @@ def bessel_spectrum(
     if total_power <= 0:
         raise ParameterError(f"total_power must be positive, got {total_power}")
 
-    amps: dict[int, float] = {}
-    for k in range(-k_max, k_max + 1):
-        base = abs(float(jv(abs(k), m)))
-        if k == -1:
-            base *= 1.0 + epsilon
-        elif k == 1:
-            base *= 1.0 - epsilon
-        amps[k] = base
+    j = jv(range(k_max + 1), m)
+    amps = {k: abs(float(j[abs(k)])) for k in range(-k_max, k_max + 1)}
+    amps[-1] *= 1.0 + epsilon
+    amps[1] *= 1.0 - epsilon
     norm = math.fsum(a * a for a in amps.values())
     scale = math.sqrt(total_power / norm)
     return FieldSpectrum(

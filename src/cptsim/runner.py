@@ -21,16 +21,17 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
-from .config import ScenarioConfig
+from .config import CURVE_KEYS, SWEEP_AXES, ScenarioConfig
+from .core import FieldSpectrum, ModulationParams
 from .sweep import (
-    SweepResult,
     bessel_family,
     crossing_and_sensitivity,
     find_ips_and_pzds,
 )
+from .thick import CellParams
 
 __all__ = ["RunResult", "emit_csv", "run_scenario"]
 
@@ -82,6 +83,20 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
     return [start + i * step for i in range(points)]
 
 
+def _point_setup(
+    config: ScenarioConfig, Omega: float, point: dict[str, float]
+) -> tuple[ModulationParams, CellParams | None, Callable[[float], FieldSpectrum]]:
+    """Modulation, cell and m-family of one sweep point (`m` and
+    `power_scale` are left to the caller)."""
+    spec = config.spectrum
+    modulation = config.modulation.to_params(point.get("omega_m_hz"))
+    cell = config.cell.to_params(point.get("beta_per_m")) if config.cell else None
+    family = bessel_family(
+        point.get("epsilon", spec.epsilon), spec.k_max, spec.total_power, Omega
+    )
+    return modulation, cell, family
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResult:
     """Execute a scenario and write records, roots, and manifest files.
 
@@ -94,50 +109,33 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     atom = config.atom.to_params()
     Omega = atom.omega_g / 2.0
     sweep = config.sweep
+    axis_field = SWEEP_AXES[sweep.axis]
+    grid = _grid(sweep.start, sweep.stop, sweep.points)
 
-    curve_list = [(None, None)]
+    # (manifest curve entry, point fields, file suffix) per curve
+    curves: list[tuple[dict, dict, str]] = [({}, {}, "")]
     if sweep.curves is not None:
-        curve_key, curve_values = sweep.curves.items()
-        curve_list = [(curve_key, v) for v in curve_values]
+        key, values = sweep.curves.items()
+        field, tag, per_length = CURVE_KEYS[key]
+        length = config.cell.length_m if per_length else None
+        curves = [
+            ({key: v}, {field: v / length if length else v}, f"_{tag}{_fmt(v)}")
+            for v in values
+        ]
 
     csv_paths: list[str] = []
     roots_paths: list[str] = []
     manifest_curves = []
 
-    for curve_key, curve_value in curve_list:
-        omega_m_hz = None
-        beta_per_m = None
-        epsilon = None
-        suffix = ""
-        if curve_key == "omega_m_hz":
-            omega_m_hz = curve_value
-            suffix = f"_wm{_fmt(curve_value)}"
-        elif curve_key == "beta_l":
-            beta_per_m = curve_value / config.cell.length_m
-            suffix = f"_bl{_fmt(curve_value)}"
-        elif curve_key == "epsilon":
-            epsilon = curve_value
-            suffix = f"_eps{_fmt(curve_value)}"
-
-        modulation = config.modulation.to_params(omega_m_hz)
-        cell = None if config.cell is None else config.cell.to_params(beta_per_m)
-        spec_cfg = config.spectrum
-        family = bessel_family(
-            epsilon=spec_cfg.epsilon if epsilon is None else epsilon,
-            k_max=spec_cfg.k_max,
-            total_power=spec_cfg.total_power,
-            Omega=Omega,
-        )
-
-        grid = _grid(sweep.start, sweep.stop, sweep.points)
+    for curve, point, suffix in curves:
         records_path = os.path.join(out, f"{prefix}{suffix}.csv")
-        axis_grid: list[float] = list(grid)
-
+        entry = {"curve": curve, "grid": list(grid)}
+        rows: list[tuple] = []
         if sweep.axis == "m":
-            rows: list[tuple] = []
             root_rows: list[tuple] = []
+            modulation, cell, family = _point_setup(config, Omega, point)
             if grid:  # an empty grid writes header-only files
-                result: SweepResult = find_ips_and_pzds(
+                result = find_ips_and_pzds(
                     atom, modulation, family, grid,
                     path=sweep.path, cell=cell,
                 )
@@ -149,59 +147,34 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
                     ("IP", ip.m, ip.delta0 / TWO_PI, ip.nearest_pzd_m, ip.m_gap)
                     for ip in result.ip_roots
                 ] + [("PZD", m, 0.0, None, None) for m in result.pzd_roots]
-                axis_grid = [r.m for r in result.records]
-            emit_csv(records_path, ["m", "E2", "delta0_hz", "dDelta0_dE2"], rows)
+                entry["grid"] = [r.m for r in result.records]
             roots_path = os.path.join(out, f"{prefix}{suffix}_roots.csv")
             emit_csv(
                 roots_path,
                 ["kind", "m", "delta0_hz", "nearest_pzd_m", "m_gap"],
                 root_rows,
             )
-            csv_paths.append(records_path)
             roots_paths.append(roots_path)
+            entry["roots"] = os.path.basename(roots_path)
         else:
-            axis_col = {
-                "omega_m": "omega_m_hz",
-                "beta": "beta_per_m",
-                "epsilon": "epsilon",
-                "power": "power_scale",
-            }[sweep.axis]
-            rows = []
             for value in grid:
-                mod_v = modulation
-                cell_v = cell
-                spectrum = spec_cfg.to_spectrum(Omega, epsilon=epsilon)
-                if sweep.axis == "omega_m":
-                    mod_v = config.modulation.to_params(value)
-                elif sweep.axis == "beta":
-                    cell_v = config.cell.to_params(value)
-                elif sweep.axis == "epsilon":
-                    spectrum = spec_cfg.to_spectrum(Omega, epsilon=value)
-                elif sweep.axis == "power":
+                modulation, cell, family = _point_setup(
+                    config, Omega, {**point, axis_field: value}
+                )
+                spectrum = family(config.spectrum.m)
+                if sweep.axis == "power":
                     spectrum = spectrum.scaled(value)
                 d0, dd = crossing_and_sensitivity(
-                    atom, spectrum, mod_v, path=sweep.path, cell=cell_v,
+                    atom, spectrum, modulation, path=sweep.path, cell=cell,
                     allow_asymmetric=True,
                 )
                 rows.append((value, spectrum.total_power, d0 / TWO_PI, dd))
-            emit_csv(
-                records_path,
-                [axis_col, "E2", "delta0_hz", "dDelta0_dE2"],
-                rows,
-            )
-            csv_paths.append(records_path)
-
-        manifest_curves.append(
-            {
-                "curve": {curve_key: curve_value} if curve_key else {},
-                "grid": axis_grid,
-                "records": os.path.basename(records_path),
-                **(
-                    {"roots": os.path.basename(roots_paths[-1])}
-                    if sweep.axis == "m" else {}
-                ),
-            }
+        emit_csv(
+            records_path, [axis_field, "E2", "delta0_hz", "dDelta0_dE2"], rows
         )
+        csv_paths.append(records_path)
+        entry["records"] = os.path.basename(records_path)
+        manifest_curves.append(entry)
 
     manifest_path = os.path.join(out, f"{prefix}_manifest.json")
     manifest = {

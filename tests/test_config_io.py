@@ -7,10 +7,16 @@ import os
 
 import pytest
 
-from cptsim import symmetrizing_detuning
+from cptsim import (
+    CellParams,
+    ModulationParams,
+    bessel_spectrum,
+    symmetrizing_detuning,
+)
 from cptsim.cli import main
 from cptsim.config import ConfigError, parse_config, serialize_config
-from cptsim.runner import emit_csv, run_scenario
+from cptsim.runner import _fmt, emit_csv, run_scenario
+from cptsim.sweep import crossing_and_sensitivity
 from cptsim.timedomain import integrate_ground_state
 
 TWO_PI = 2.0 * math.pi
@@ -36,6 +42,19 @@ sweep:
   points: 9
   path: linearized
 """
+
+CELL_YAML = "cell:\n  length_m: 0.02\n"
+
+
+def with_sweep(axis_lines, path, curves=None):
+    """BASE_YAML with its sweep axis, range, points and path replaced."""
+    text = BASE_YAML.replace(
+        "  axis: m\n  start: 2.0\n  stop: 2.8\n  points: 9\n  path: linearized\n",
+        f"  {axis_lines}\n  path: {path}\n",
+    )
+    if curves is not None:
+        text += f"  curves:\n    {curves}\n"
+    return text
 
 
 def read_csv(path):
@@ -155,8 +174,40 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cell block is required"):
             parse_config(BASE_YAML + "  curves:\n    beta_l: [0.0, 0.2]\n")
 
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "time-domain"])
+    def test_beta_needs_thick_path(self, path):
+        # every other path ignores the cell, so beta would change no output
+        beta_axis = with_sweep(
+            "axis: beta\n  start: 0.0\n  stop: 20.0\n  points: 3", path
+        )
+        beta_curves = with_sweep(
+            "axis: m\n  start: 2.0\n  stop: 2.8\n  points: 9", path,
+            curves="beta_l: [0.0, 0.2]",
+        )
+        for text, setter in ((beta_axis, "axis beta"), (beta_curves, "curves.beta_l")):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text + CELL_YAML)
+            assert f"{setter} sets the cell's beta_per_m" in str(err.value)
+            assert f"path '{path}' ignores the cell" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "axis, curves",
+        [
+            ("omega_m\n  start: 300.0\n  stop: 900.0", "omega_m_hz: [400.0, 800.0]"),
+            ("epsilon\n  start: -0.2\n  stop: 0.2", "epsilon: [0.0, 0.2]"),
+            ("beta\n  start: 0.0\n  stop: 20.0", "beta_l: [0.0, 0.2]"),
+        ],
+        ids=["omega_m", "epsilon", "beta"],
+    )
+    def test_curves_must_not_set_the_axis_parameter(self, axis, curves):
+        # the axis value would replace the curve value at every point
+        text = with_sweep(f"axis: {axis}\n  points: 3", "thick", curves=curves)
+        key = curves.split(":")[0]
+        with pytest.raises(ConfigError, match=f"curves.{key} sets .* already sweeps"):
+            parse_config(text + CELL_YAML)
+
     def test_serialize_round_trip(self):
-        cfg = parse_config(BASE_YAML + "cell:\n  length_m: 0.02\n")
+        cfg = parse_config(BASE_YAML + CELL_YAML)
         assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -262,6 +313,71 @@ class TestRunScenario:
         with open(result.manifest_path) as fh:
             manifest = json.load(fh)
         assert manifest["curves"][1]["curve"] == {"epsilon": 0.2}
+
+    @pytest.mark.parametrize(
+        "axis, path, curves, grid, column, curve_field",
+        [
+            (
+                "axis: beta\n  start: 0.0\n  stop: 20.0\n  points: 3",
+                "thick",
+                "omega_m_hz: [300.0, 900.0]",
+                [0.0, 10.0, 20.0],
+                "beta_per_m",
+                "omega_m_hz",
+            ),
+            (
+                "axis: epsilon\n  start: -0.2\n  stop: 0.2\n  points: 3",
+                "harmonic",
+                None,
+                [-0.2, 0.0, 0.2],
+                "epsilon",
+                None,
+            ),
+            (
+                "axis: power\n  start: 0.5\n  stop: 1.5\n  points: 3",
+                "harmonic",
+                "epsilon: [0.0, 0.2]",
+                [0.5, 1.0, 1.5],
+                "power_scale",
+                "epsilon",
+            ),
+        ],
+        ids=["beta", "epsilon", "power"],
+    )
+    def test_axis_rows_are_direct_crossings(
+        self, tmp_path, axis, path, curves, grid, column, curve_field
+    ):
+        # each row is the crossing of its point, built here from the
+        # parameter classes rather than through the config
+        cfg = parse_config(with_sweep(axis, path, curves) + CELL_YAML)
+        result = run_scenario(cfg, out_dir=str(tmp_path))
+        atom = cfg.atom.to_params()
+        curve_values = cfg.sweep.curves.items()[1] if curves else [None]
+        assert len(result.csv_paths) == len(curve_values)
+        for records, curve in zip(result.csv_paths, curve_values):
+            header, rows = read_csv(records)
+            assert header == [column, "E2", "delta0_hz", "dDelta0_dE2"]
+            expected = []
+            for v in grid:
+                p = {column: v, curve_field: curve}
+                spectrum = bessel_spectrum(
+                    2.4, p.get("epsilon", 0.0), 5, cfg.spectrum.total_power,
+                    atom.omega_g / 2.0,
+                )
+                if "power_scale" in p:
+                    spectrum = spectrum.scaled(p["power_scale"])
+                modulation = ModulationParams(
+                    a=0.2, omega_m=TWO_PI * p.get("omega_m_hz", 600.0)
+                )
+                cell = CellParams(length=0.02, beta=p.get("beta_per_m", 0.0))
+                d0, dd = crossing_and_sensitivity(
+                    atom, spectrum, modulation, path=path, cell=cell,
+                    allow_asymmetric=True,
+                )
+                expected.append(
+                    [_fmt(v), _fmt(spectrum.total_power), _fmt(d0 / TWO_PI), _fmt(dd)]
+                )
+            assert rows == expected
 
     def test_empty_grid_writes_header_only(self, tmp_path):
         cfg = parse_config(BASE_YAML.replace("points: 9", "points: 0"))
