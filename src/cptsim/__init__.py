@@ -28,6 +28,7 @@ from .harmonic import (
     solve_fourier_amplitudes,
 )
 from .sweep import (
+    BesselFamily,
     BracketError,
     IpRoot,
     ServoScenario,
@@ -68,6 +69,7 @@ __all__ = [
     "harmonic_signals",
     "linearized_signals",
     "solve_fourier_amplitudes",
+    "BesselFamily",
     "BracketError",
     "IpRoot",
     "ServoScenario",

@@ -60,6 +60,15 @@ CURVE_KEYS = {
     "beta_l": ("beta_per_m", "bl", True),
     "epsilon": ("epsilon", "eps", False),
 }
+# Point field -> (block, field) of the config value it replaces.  Every axis
+# end and curve value must keep that field's limits; power_scale replaces
+# no field and is checked on its own.
+REPLACED_FIELDS = {
+    "m": ("spectrum", "m"),
+    "omega_m_hz": ("modulation", "omega_m_hz"),
+    "beta_per_m": ("cell", "beta_per_m"),
+    "epsilon": ("spectrum", "epsilon"),
+}
 
 
 class ConfigError(ValueError):
@@ -269,15 +278,38 @@ class ScenarioConfig(_Block):
                 f"{beta_setter} sets the cell's beta_per_m, which only the "
                 f"thick path uses; path {sweep.path!r} ignores the cell"
             )
-        if sweep.axis == "epsilon":
-            hi = max(abs(sweep.start), abs(sweep.stop))
-            if hi >= 1.0:
-                problems.append("epsilon axis range must stay within |epsilon| < 1")
-        if sweep.axis == "power" and sweep.start <= 0:
-            problems.append("power axis values are scale factors and must be > 0")
+        axis_field = SWEEP_AXES[sweep.axis]
+        values = [
+            (f"axis {sweep.axis} {end}", axis_field, v)
+            for end, v in (("start", sweep.start), ("stop", sweep.stop))
+        ]
+        if sweep.curves is not None:
+            key, curve_values = sweep.curves.items()
+            field, _, per_length = CURVE_KEYS[key]
+            length = self.cell.length_m if per_length and self.cell else 1.0
+            values += [(f"curves.{key} {v}", field, v / length) for v in curve_values]
+        for where, field, value in values:
+            problem = self._out_of_range(field, value)
+            if problem:
+                problems.append(f"{where}: {problem}")
         if problems:
             raise ValueError("; ".join(problems))
         return self
+
+    def _out_of_range(self, field: str, value: float) -> str | None:
+        """Why `value` of point field `field` breaks the limits of the
+        config field it replaces, or None."""
+        if field == "power_scale":
+            return None if value > 0 else "power scale factors must be > 0"
+        block_name, name = REPLACED_FIELDS[field]
+        block = getattr(self, block_name)
+        if block is None:  # a missing cell block is reported on its own
+            return None
+        try:
+            type(block).model_validate({**block.model_dump(), name: value})
+        except ValidationError as exc:
+            return f"{block_name}.{name} = {value}: {exc.errors()[0]['msg']}"
+        return None
 
 
 def _format_errors(exc: ValidationError) -> str:

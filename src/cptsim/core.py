@@ -25,11 +25,15 @@ reduced excited decay `gamma` is the upper-level rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
+from typing import Mapping
+
+import numpy as np
 
 __all__ = [
     "ParameterError",
@@ -39,7 +43,9 @@ __all__ = [
     "LockInResult",
     "DerivedCouplings",
     "derive_couplings",
+    "amplitude_couplings",
     "nonresonant_shift_components",
+    "bessel_amplitudes",
     "bessel_spectrum",
 ]
 
@@ -272,15 +278,35 @@ def _nonresonant_weight(k: int) -> float:
     return w
 
 
+def _fsum_columns(rows) -> np.ndarray:
+    """math.fsum of each column of `rows` (equal-length 1-D arrays): the
+    exactly rounded sum over k for each spectrum of a sequence.  Columns
+    become Python floats 1,024 at a time, which bounds the memory."""
+    columns = np.asarray(rows).T
+    return np.array([
+        math.fsum(column)
+        for start in range(0, len(columns), 1024)
+        for column in columns[start : start + 1024].tolist()
+    ])
+
+
+def _nonresonant_terms(
+    atom: AtomParams, amplitudes: Mapping[int, float], Omega: float
+) -> dict[int, float]:
+    both_branches = 1.0 + atom.dipole_ratio_sq
+    return {
+        k: both_branches * amp * amp * _nonresonant_weight(k) / Omega
+        for k, amp in amplitudes.items()
+    }
+
+
 def nonresonant_shift_components(
     atom: AtomParams, spectrum: FieldSpectrum
 ) -> dict[int, float]:
     """Per-component contributions to delta_nr (rad/s), keyed by sideband index."""
-    both_branches = 1.0 + atom.dipole_ratio_sq
-    return {
-        k: both_branches * amp * amp * _nonresonant_weight(k) / spectrum.Omega
-        for k, amp in spectrum.sorted_components()
-    }
+    return _nonresonant_terms(
+        atom, dict(spectrum.sorted_components()), spectrum.Omega
+    )
 
 
 def derive_couplings(atom: AtomParams, spectrum: FieldSpectrum) -> DerivedCouplings:
@@ -295,8 +321,23 @@ def derive_couplings(atom: AtomParams, spectrum: FieldSpectrum) -> DerivedCoupli
         raise ParameterError(
             "spectrum must contain the resonant sidebands k = -1 and k = +1"
         )
-    E_L = spectrum.amplitude(-1)
-    E_R = spectrum.amplitude(+1)
+    return amplitude_couplings(atom, spectrum.components, spectrum.Omega)
+
+
+def amplitude_couplings(
+    atom: AtomParams, amplitudes: Mapping[int, float], Omega: float
+) -> DerivedCouplings:
+    """`derive_couplings` of the amplitudes E_k at sideband spacing Omega.
+
+    `amplitudes` maps every sideband index k, -1 and +1 included, to E_k:
+    floats for one spectrum, or equal-length numpy arrays for a sequence of
+    spectra, which gives couplings whose fields (except P) are arrays.
+    Each array element equals the float result bit for bit: the arithmetic
+    is elementwise in the same order, and delta_nr is the math.fsum of each
+    spectrum's terms.
+    """
+    E_L = amplitudes[-1]
+    E_R = amplitudes[1]
     r = atom.dipole_ratio_sq
     du = atom.Delta_L
     dd = atom.Delta_L + atom.omega_e
@@ -311,7 +352,9 @@ def derive_couplings(atom: AtomParams, spectrum: FieldSpectrum) -> DerivedCoupli
     V_LR = E_L * E_R * pump
     K = E_L * E_R * (disp_u + r * disp_d)
     delta_r = -(E_L * E_L - E_R * E_R) * (disp_u + r * disp_d)
-    delta_nr = math.fsum(nonresonant_shift_components(atom, spectrum).values())
+    terms = list(_nonresonant_terms(atom, amplitudes, Omega).values())
+    many = isinstance(E_L, np.ndarray)
+    delta_nr = _fsum_columns(terms) if many else math.fsum(terms)
     P = atom.Gamma * lor_u + atom.Gamma * lor_d
 
     return DerivedCouplings(
@@ -326,6 +369,46 @@ def derive_couplings(atom: AtomParams, spectrum: FieldSpectrum) -> DerivedCoupli
         calV_L=E_L,
         calV_R=E_R,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_index(k_max: int) -> np.ndarray:
+    """|k| for k = -k_max ... k_max, read-only; cached because every
+    `bessel_spectrum` call indexes with it."""
+    index = np.abs(np.arange(-k_max, k_max + 1))
+    index.flags.writeable = False
+    return index
+
+
+def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.ndarray:
+    """Amplitudes E_k of `bessel_spectrum`, k = -k_max ... k_max along axis 0.
+
+    `m` is one depth, or a 1-D array of depths along axis 1.  Each column
+    equals the components of `bessel_spectrum` at its depth bit for bit:
+    the same `jv` values, skew and math.fsum normalisation, applied
+    elementwise.
+    """
+    from scipy.special import jv
+
+    many = isinstance(m, np.ndarray)
+    lowest = np.min(m) if many else m
+    if lowest < 0:
+        raise ParameterError(f"modulation depth m must be >= 0, got {lowest}")
+    if not -1.0 < epsilon < 1.0:
+        raise ParameterError(f"epsilon must satisfy |epsilon| < 1, got {epsilon}")
+    if k_max < 2:
+        raise ParameterError(f"k_max must be >= 2, got {k_max}")
+    if total_power <= 0:
+        raise ParameterError(f"total_power must be positive, got {total_power}")
+
+    j = np.abs(jv(range(k_max + 1), m[:, None] if many else m))
+    amps = j.T[_mirror_index(k_max)]
+    amps[k_max - 1] *= 1.0 + epsilon
+    amps[k_max + 1] *= 1.0 - epsilon
+    squares = amps * amps
+    if many:
+        return amps * np.sqrt(total_power / _fsum_columns(squares))
+    return amps * math.sqrt(total_power / math.fsum(squares.tolist()))
 
 
 def bessel_spectrum(
@@ -356,23 +439,7 @@ def bessel_spectrum(
     Omega : float
         Sideband spacing (rad/s).
     """
-    from scipy.special import jv
-
-    if m < 0:
-        raise ParameterError(f"modulation depth m must be >= 0, got {m}")
-    if not -1.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must satisfy |epsilon| < 1, got {epsilon}")
-    if k_max < 2:
-        raise ParameterError(f"k_max must be >= 2, got {k_max}")
-    if total_power <= 0:
-        raise ParameterError(f"total_power must be positive, got {total_power}")
-
-    j = jv(range(k_max + 1), m)
-    amps = {k: abs(float(j[abs(k)])) for k in range(-k_max, k_max + 1)}
-    amps[-1] *= 1.0 + epsilon
-    amps[1] *= 1.0 - epsilon
-    norm = math.fsum(a * a for a in amps.values())
-    scale = math.sqrt(total_power / norm)
+    amps = bessel_amplitudes(m, epsilon, k_max, total_power)
     return FieldSpectrum(
-        Omega=Omega, components={k: a * scale for k, a in amps.items()}
+        Omega=Omega, components=dict(zip(range(-k_max, k_max + 1), amps.tolist()))
     )

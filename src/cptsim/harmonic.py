@@ -13,7 +13,9 @@ error in the first-harmonic amplitudes.
 `HarmonicSignal` assembles the resulting 15x15 linear system once per
 spectrum, solves it at each detuning and projects the amplitudes onto the
 lock-in references; `solve_fourier_amplitudes` and `harmonic_signals` are
-the one-shot forms of the same assembly, solve and projection.
+the one-shot forms of the same assembly, solve and projection, and
+`HarmonicSteps` assembles one system per call along a run of spectra (the
+servo's steps).
 `linearized_signals` evaluates the closed-form small-signal
 limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
@@ -48,6 +50,7 @@ from .core import (
 __all__ = [
     "solve_fourier_amplitudes",
     "HarmonicSignal",
+    "HarmonicSteps",
     "harmonic_signals",
     "linearized_signals",
     "ClosedFormSignal",
@@ -60,12 +63,12 @@ __all__ = [
 #                    ReC2, ImC2, ReCm2, ImCm2, G0, ReG1, ImG1, ReG2, ImG2]
 RC0, IC0, RC1, IC1, RCm1, ICm1 = 0, 1, 2, 3, 4, 5
 RC2, IC2, RCm2, ICm2, G0, RG1, IG1, RG2, IG2 = 6, 7, 8, 9, 10, 11, 12, 13, 14
-# Every matrix entry is a multiple of one of these (parameter vector order).
-GT, K, AW, W = 0, 1, 2, 3
+# Every matrix entry is a multiple of one of these (parameter vector order);
+# SD, the dressed detuning, adds to the diagonal of the ten coherence rows.
+GT, K, AW, W, SD = 0, 1, 2, 3, 4
 
 # The 15 rows at zero dressed detuning sd, as (column, coefficient,
-# parameter) entries over (Gamma_g_tilde, K, a*omega_m, omega_m).  sd itself
-# adds to the diagonal of the ten coherence rows.
+# parameter) entries over (Gamma_g_tilde, K, a*omega_m, omega_m).
 FOURIER_ROWS = (
     # Coherence at DC, sourced by V_LR and the population difference.
     ((IC0, -1, GT), (RC1, 1, AW), (RCm1, 1, AW), (G0, -2, K)),
@@ -96,13 +99,29 @@ _ROW, _COL, _COEF, _PARAM = (
     ))
 )
 _COHERENCE = np.arange(10)
+# A(sd) flattened is _TABLE @ (Gamma_g_tilde, K, a*omega_m, omega_m, sd).
+# Every coefficient is 0, +-1 or +-2 and an entry has at most two nonzero
+# terms (one parameter, plus sd on the diagonal), so each entry is rounded
+# once, as when it is written out term by term.
+_TABLE = np.zeros((15 * 15, 5))
+_TABLE[15 * _ROW + _COL, _PARAM] = _COEF
+_TABLE[16 * _COHERENCE, SD] = 1.0
+_J = _TABLE[:, SD].reshape(15, 15)
 
 
 def _fourier_matrix(params) -> np.ndarray:
-    """A at sd = 0 for parameters (Gamma_g_tilde, K, a*omega_m, omega_m)."""
-    A = np.zeros((15, 15))
-    A[_ROW, _COL] = _COEF * np.asarray(params, dtype=float)[_PARAM]
-    return A
+    """A for parameters (Gamma_g_tilde, K, a*omega_m, omega_m, sd)."""
+    return (_TABLE @ np.asarray(params, dtype=float)).reshape(15, 15)
+
+
+def _rhs(couplings: DerivedCouplings) -> np.ndarray:
+    """Right-hand side b; one row per step for couplings of array fields."""
+    c = couplings
+    b = np.zeros(np.shape(c.K) + (15,))
+    b[..., 0] = -c.K
+    b[..., 1] = c.V_LR
+    b[..., 10] = c.V_R + (c.Gamma_g_tilde - c.V_L - c.V_R) / 2.0
+    return b
 
 
 def _fourier_system(
@@ -114,13 +133,9 @@ def _fourier_system(
         couplings.K,
         modulation.a * modulation.omega_m,
         modulation.omega_m,
+        0.0,
     ))
-    Gg = couplings.Gamma_g_tilde - couplings.V_L - couplings.V_R
-    b = np.zeros(15)
-    b[0] = -couplings.K
-    b[1] = couplings.V_LR
-    b[10] = couplings.V_R + Gg / 2.0
-    return A, b
+    return A, _rhs(couplings)
 
 
 def _dressed_detuning(couplings: DerivedCouplings, delta: float) -> float:
@@ -129,19 +144,16 @@ def _dressed_detuning(couplings: DerivedCouplings, delta: float) -> float:
 
 def _at_detuning(A0: np.ndarray, sd: float) -> np.ndarray:
     """A(sd) = A0 + sd J, J the unit diagonal of the ten coherence rows."""
-    A = A0.copy()
-    A[_COHERENCE, _COHERENCE] += sd
-    return A
+    return A0 + sd * _J
 
 
-def _solve(A: np.ndarray, b: np.ndarray, couplings, modulation) -> np.ndarray:
+def _solve(A: np.ndarray, b: np.ndarray, width: float, omega_m: float) -> np.ndarray:
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:  # unreachable for Gamma_g_tilde > 0
         raise ParameterError(
             f"Fourier-amplitude system singular (cond = {np.linalg.cond(A):.3g}); "
-            f"Gamma_g_tilde = {couplings.Gamma_g_tilde}, "
-            f"omega_m = {modulation.omega_m}"
+            f"Gamma_g_tilde = {width}, omega_m = {omega_m}"
         ) from exc
 
 
@@ -169,15 +181,15 @@ def solve_fourier_amplitudes(
         warnings.warn(_truncation_warning(modulation), stacklevel=2)
     A0, b = _fourier_system(couplings, modulation)
     A = _at_detuning(A0, _dressed_detuning(couplings, delta))
-    return _solve(A, b, couplings, modulation)
+    return _solve(A, b, couplings.Gamma_g_tilde, modulation.omega_m)
 
 
-def _lockin_weights(atom: AtomParams, couplings: DerivedCouplings):
+def _lockin_weights(atom: AtomParams, P: float, calV_L: float, calV_R: float):
     """(prefactor, calV_L^2 - calV_R^2, calV_L calV_R) of the lock-in signals."""
     return (
-        4.0 * couplings.P / (atom.gamma * atom.Gamma),
-        couplings.calV_L**2 - couplings.calV_R**2,
-        couplings.calV_L * couplings.calV_R,
+        4.0 * P / (atom.gamma * atom.Gamma),
+        calV_L**2 - calV_R**2,
+        calV_L * calV_R,
     )
 
 
@@ -214,7 +226,9 @@ class HarmonicSignal:
         self.modulation = modulation
         self.width = couplings.Gamma_g_tilde
         self.A0, self.b = _fourier_system(couplings, modulation)
-        self._weights = _lockin_weights(atom, couplings)
+        self._weights = _lockin_weights(
+            atom, couplings.P, couplings.calV_L, couplings.calV_R
+        )
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
         # c^T x = S cos(alpha) - Q sin(alpha), the in-phase signal
         pref, dV2, VV = self._weights
@@ -225,7 +239,7 @@ class HarmonicSignal:
 
     def _amplitudes(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         A = _at_detuning(self.A0, _dressed_detuning(self.couplings, delta))
-        return A, _solve(A, self.b, self.couplings, self.modulation)
+        return A, _solve(A, self.b, self.width, self.modulation.omega_m)
 
     def __call__(self, delta: float) -> float:
         S, Q = _project(self._weights, self._amplitudes(delta)[1])
@@ -245,7 +259,7 @@ class HarmonicSignal:
         cp = self.couplings
         A, x = self._amplitudes(delta0)
         y = np.linalg.solve(A.T, self.c)
-        A1 = _fourier_matrix((cp.V_L + cp.V_R, cp.K, 0.0, 0.0))
+        A1 = _fourier_matrix((cp.V_L + cp.V_R, cp.K, 0.0, 0.0, 0.0))
         b1 = np.zeros(15)
         b1[0] = -cp.K
         b1[1] = cp.V_LR
@@ -254,6 +268,49 @@ class HarmonicSignal:
         Jx[_COHERENCE] = x[_COHERENCE]
         x0 = cp.delta_r + cp.delta_nr
         return float(y @ (b1 - A1 @ x - x0 * Jx) / (2.0 * (y @ Jx)))
+
+
+class HarmonicSteps:
+    """In-phase signal S_j(delta) of the harmonic path along a run of steps.
+
+    `couplings` has numpy array fields over the steps j (P is shared), as
+    `core.amplitude_couplings` builds them for a sequence of spectra.  Each
+    call assembles step j's system from `_TABLE` and the step's floats, so
+    no 15x15 matrix is held per step, and makes one 15x15 solve and one
+    projection.  S_j(delta) equals `harmonic_signals(...).S` at step j's
+    spectrum bit for bit.  It does not warn when a > 0.5; the caller's
+    `HarmonicSignal` does, once.
+    """
+
+    def __init__(
+        self,
+        atom: AtomParams,
+        couplings: DerivedCouplings,
+        modulation: ModulationParams,
+    ):
+        c = couplings
+        self._params = np.array(
+            [0.0, 0.0, modulation.a * modulation.omega_m, modulation.omega_m, 0.0]
+        )
+        self._b = _rhs(c)
+        self._gt, self._K, self._dr, self._dnr = (
+            v.tolist() for v in (c.Gamma_g_tilde, c.K, c.delta_r, c.delta_nr)
+        )
+        # per step in Python floats: `float ** 2` and numpy's square of an
+        # array round differently about once in a thousand values
+        self._weights = [
+            _lockin_weights(atom, c.P, L, R)
+            for L, R in zip(c.calV_L.tolist(), c.calV_R.tolist())
+        ]
+        self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
+
+    def __call__(self, j: int, delta: float) -> float:
+        p = self._params
+        p[GT], p[K] = self._gt[j], self._K[j]
+        p[SD] = 2.0 * delta + self._dr[j] + self._dnr[j]
+        x = _solve(_fourier_matrix(p), self._b[j], self._gt[j], p[W])
+        S, Q = _project(self._weights[j], x.tolist())
+        return S * self._cos - Q * self._sin
 
 
 def harmonic_signals(
@@ -265,7 +322,9 @@ def harmonic_signals(
     """Lock-in signals from the second-harmonic truncation, in one call."""
     couplings = derive_couplings(atom, spectrum)
     x = solve_fourier_amplitudes(couplings, delta, modulation)
-    S, Q = _project(_lockin_weights(atom, couplings), x)
+    S, Q = _project(
+        _lockin_weights(atom, couplings.P, couplings.calV_L, couplings.calV_R), x
+    )
     warns = (
         (_truncation_warning(modulation),)
         if modulation.beyond_recommended_index

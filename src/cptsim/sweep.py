@@ -28,20 +28,24 @@ import numpy as np
 
 from .core import (
     AtomParams,
+    DerivedCouplings,
     FieldSpectrum,
     ModulationParams,
     ParameterError,
+    amplitude_couplings,
+    bessel_amplitudes,
     bessel_spectrum,
     derive_couplings,
     require_finite,
     require_integer,
 )
 # perfbench/tracer.py counts signal evaluations through the bindings of
-# `linearized_signals` and `averaged_signal`; they stay bound so the counts
-# read 0 rather than missing.
+# `harmonic_signals`, `linearized_signals` and `averaged_signal`; they stay
+# bound so the counts read 0 rather than missing.
 from .harmonic import (  # noqa: F401
     ClosedFormSignal,
     HarmonicSignal,
+    HarmonicSteps,
     asymmetry_shift,
     harmonic_signals,
     linearized_signals,
@@ -66,6 +70,7 @@ __all__ = [
     "make_signal_function",
     "zero_crossing",
     "crossing_and_sensitivity",
+    "BesselFamily",
     "bessel_family",
     "SweepRecord",
     "IpRoot",
@@ -253,16 +258,45 @@ def crossing_and_sensitivity(
     return delta0, signal.power_sensitivity(delta0) / spectrum.total_power
 
 
+@dataclass(frozen=True)
+class BesselFamily:
+    """Family m -> truncated Bessel spectrum at fixed asymmetry and power.
+
+    Calling it with m returns `bessel_spectrum(m, epsilon, k_max,
+    total_power, Omega)`; `couplings` builds the couplings of many depths
+    and power factors at once, for the servo's steps.
+    """
+
+    epsilon: float
+    k_max: int
+    total_power: float
+    Omega: float
+
+    def __call__(self, m: float) -> FieldSpectrum:
+        return bessel_spectrum(
+            m, self.epsilon, self.k_max, self.total_power, self.Omega
+        )
+
+    def couplings(
+        self, atom: AtomParams, ms: np.ndarray, power_factors: np.ndarray
+    ) -> DerivedCouplings:
+        """Couplings of self(m_j).scaled(power_factors[j]) for every j, as
+        arrays over j, each element equal to `derive_couplings` bit for bit."""
+        amps = bessel_amplitudes(ms, self.epsilon, self.k_max, self.total_power)
+        ks = range(-self.k_max, self.k_max + 1)
+        return amplitude_couplings(
+            atom, dict(zip(ks, amps * np.sqrt(power_factors))), self.Omega
+        )
+
+
 def bessel_family(
     epsilon: float,
     k_max: int,
     total_power: float,
     Omega: float,
-) -> Callable[[float], FieldSpectrum]:
+) -> BesselFamily:
     """Family m -> truncated Bessel spectrum at fixed asymmetry and power."""
-    def family(m: float) -> FieldSpectrum:
-        return bessel_spectrum(m, epsilon, k_max, total_power, Omega)
-    return family
+    return BesselFamily(epsilon, k_max, total_power, Omega)
 
 
 @dataclass(frozen=True)
@@ -498,6 +532,11 @@ class ServoScenario:
         )
         if self.n_steps < 2:
             raise ParameterError(f"n_steps must be >= 2, got {self.n_steps}")
+        if min(self.m_start, self.m_stop) < 0:
+            raise ParameterError(
+                "ServoScenario m_start and m_stop are modulation depths and "
+                f"must be >= 0, got {self.m_start} and {self.m_stop}"
+            )
         if self.gain < 0:
             raise ParameterError(f"gain must be >= 0, got {self.gain}")
         if not 0.0 <= self.intensity_depth < 1.0:
@@ -533,7 +572,7 @@ class ServoTrace:
 def servo_lock_experiment(
     atom: AtomParams,
     modulation: ModulationParams,
-    family: Callable[[float], FieldSpectrum],
+    family: BesselFamily,
     scenario: ServoScenario,
 ) -> ServoTrace:
     """Emulate servo-locked detection of IPs under intensity modulation.
@@ -543,7 +582,19 @@ def servo_lock_experiment(
     detuning tracks the intensity-induced shift; demodulating it at the
     intensity frequency gives a response whose minima over m are the
     experimentally detected IPs.
+
+    `family` is a `bessel_family`.  Step j's spectrum is family(m_j) scaled
+    by intensity_j, and every step's couplings are built up front in one
+    numpy pass (`BesselFamily.couplings`), so memory grows with n_steps.
+    Only delta is stepped in Python, by one `HarmonicSteps` solve per step;
+    the trace equals that of calling `harmonic_signals` on each step's
+    spectrum, bit for bit.
     """
+    if not isinstance(family, BesselFamily):
+        raise ParameterError(
+            "servo_lock_experiment needs a BesselFamily (from bessel_family), "
+            f"got {type(family).__name__}"
+        )
     start_spectrum = family(scenario.m_start)
     ref = asymmetry_shift(atom, start_spectrum, modulation)
     signal = make_signal_function(atom, start_spectrum, modulation)
@@ -554,24 +605,37 @@ def servo_lock_experiment(
     ms = np.linspace(scenario.m_start, scenario.m_stop, n)
     phases = 2.0 * math.pi * np.arange(n) / scenario.intensity_period_steps
     intensity = 1.0 + scenario.intensity_depth * np.sin(phases)
+    step_signal = HarmonicSteps(
+        atom, family.couplings(atom, ms, intensity), modulation
+    )
     deltas = np.empty(n)
-    lock_lost = False
     lost_at: int | None = None
     for j in range(n):
         deltas[j] = delta
         if abs(delta) > capture:
-            lock_lost = True
             lost_at = j
             break
-        spectrum = family(float(ms[j])).scaled(float(intensity[j]))
-        S = harmonic_signals(atom, spectrum, modulation, delta).S
+        S = step_signal(j, delta)
         delta = delta - scenario.gain * S / (2.0 * ref.A)
-    n_kept = lost_at if lock_lost else n
+    return _servo_trace(
+        ms, intensity, deltas, lost_at, scenario.intensity_period_steps
+    )
+
+
+def _servo_trace(
+    ms: np.ndarray,
+    intensity: np.ndarray,
+    deltas: np.ndarray,
+    lost_at: int | None,
+    period: int,
+) -> ServoTrace:
+    """The trace of a run that lost lock at step `lost_at` (None if held),
+    with the locked detuning demodulated at the intensity period."""
+    n_kept = len(ms) if lost_at is None else lost_at
     ms = ms[:n_kept]
     intensity = intensity[:n_kept]
     deltas = deltas[:n_kept]
 
-    period = scenario.intensity_period_steps
     stride = period // 2
     centers: list[float] = []
     amps: list[float] = []
@@ -595,6 +659,6 @@ def servo_lock_experiment(
         delta=deltas,
         response_m=np.asarray(centers),
         response_amplitude=np.asarray(amps),
-        lock_lost=lock_lost,
+        lock_lost=lost_at is not None,
         lock_lost_step=lost_at,
     )

@@ -15,11 +15,15 @@ from cptsim import (
     AtomParams,
     FieldSpectrum,
     ModulationParams,
+    asymmetry_shift,
     bessel_spectrum,
+    harmonic_signals,
+    make_signal_function,
     solve_fourier_amplitudes,
+    zero_crossing,
 )
 from cptsim import harmonic
-from cptsim.sweep import symmetrizing_detuning
+from cptsim.sweep import _servo_trace, symmetrizing_detuning
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,6 +110,38 @@ def kappa(atom, couplings, rho22, rho11, rho21):
         c.calV_L**2 * rho22
         + c.calV_R**2 * rho11
         - 2.0 * c.calV_L * c.calV_R * np.real(rho21)
+    )
+
+
+def reference_servo_trace(atom, modulation, family, scenario):
+    """`servo_lock_experiment` stepped one spectrum at a time.
+
+    Each step builds family(m_j).scaled(intensity_j) and calls
+    `harmonic_signals` on it; the batched servo must reproduce this trace
+    exactly.
+    """
+    start_spectrum = family(scenario.m_start)
+    ref = asymmetry_shift(atom, start_spectrum, modulation)
+    signal = make_signal_function(atom, start_spectrum, modulation)
+    capture = signal.width
+    delta = zero_crossing(atom, start_spectrum, modulation, signal=signal)
+
+    n = scenario.n_steps
+    ms = np.linspace(scenario.m_start, scenario.m_stop, n)
+    phases = 2.0 * math.pi * np.arange(n) / scenario.intensity_period_steps
+    intensity = 1.0 + scenario.intensity_depth * np.sin(phases)
+    deltas = np.empty(n)
+    lost_at = None
+    for j in range(n):
+        deltas[j] = delta
+        if abs(delta) > capture:
+            lost_at = j
+            break
+        spectrum = family(float(ms[j])).scaled(float(intensity[j]))
+        S = harmonic_signals(atom, spectrum, modulation, delta).S
+        delta = delta - scenario.gain * S / (2.0 * ref.A)
+    return _servo_trace(
+        ms, intensity, deltas, lost_at, scenario.intensity_period_steps
     )
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -143,6 +144,32 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="must be > 0"):
             parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "path, axis, curves, message",
+        [
+            ("linearized", "m\n  start: 2.0\n  stop: 2.8", "epsilon: [0.0, 1.5]",
+             "curves.epsilon 1.5: spectrum.epsilon"),
+            ("linearized", "m\n  start: 2.0\n  stop: 2.8", "omega_m_hz: [-5.0]",
+             "curves.omega_m_hz -5.0: modulation.omega_m_hz"),
+            ("thick", "m\n  start: 2.0\n  stop: 2.8", "beta_l: [-1.0]",
+             "curves.beta_l -1.0: cell.beta_per_m"),
+            ("linearized", "m\n  start: -1.0\n  stop: 2.8", None,
+             "axis m start: spectrum.m"),
+            ("linearized", "omega_m\n  start: -100.0\n  stop: 600.0", None,
+             "axis omega_m start: modulation.omega_m_hz"),
+            ("thick", "beta\n  start: -5.0\n  stop: 20.0", None,
+             "axis beta start: cell.beta_per_m"),
+        ],
+        ids=["eps-curve", "wm-curve", "bl-curve", "m-axis", "wm-axis", "beta-axis"],
+    )
+    def test_values_keep_the_limits_of_the_field_they_replace(
+        self, path, axis, curves, message
+    ):
+        # each of these used to parse, and the run failed or wrote nonsense
+        text = with_sweep(f"axis: {axis}\n  points: 9", path, curves=curves)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text + CELL_YAML)
 
     def test_m_axis_needs_three_points(self):
         bad = BASE_YAML.replace("points: 9", "points: 2")

@@ -30,6 +30,7 @@ from cptsim import (
     derive_couplings,
     nonresonant_shift_components,
 )
+from cptsim.core import amplitude_couplings, bessel_amplitudes
 
 
 def bessel_series(k: int, m: float) -> float:
@@ -80,6 +81,37 @@ class TestBesselSpectrum:
             bessel_spectrum(m=2.4, epsilon=0.0, k_max=1, total_power=1.0, Omega=OMEGA)
         with pytest.raises(ParameterError):
             bessel_spectrum(m=2.4, epsilon=0.0, k_max=5, total_power=0.0, Omega=OMEGA)
+
+
+class TestBesselAmplitudes:
+    """The m-array form of the Bessel spectrum and of its couplings."""
+
+    MS = np.linspace(0.0, 5.0, 501)
+
+    @pytest.mark.parametrize("k_max", [2, 5, 8])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.13, -0.4])
+    def test_columns_equal_bessel_spectrum(self, k_max, epsilon):
+        amps = bessel_amplitudes(self.MS, epsilon, k_max, POWER)
+        assert amps.shape == (2 * k_max + 1, self.MS.size)
+        for m, column in zip(self.MS.tolist(), amps.T.tolist()):
+            spec = bessel_spectrum(m, epsilon, k_max, POWER, OMEGA)
+            assert column == [a for _, a in spec.sorted_components()]
+
+    def test_array_couplings_equal_derive_couplings(self):
+        atom = make_atom()
+        amps = bessel_amplitudes(self.MS, 0.13, 5, POWER)
+        batch = amplitude_couplings(atom, dict(zip(range(-5, 6), amps)), OMEGA)
+        for i, m in enumerate(self.MS.tolist()):
+            one = derive_couplings(atom, bessel_spectrum(m, 0.13, 5, POWER, OMEGA))
+            for name, value in vars(one).items():
+                batch_value = getattr(batch, name)  # P is shared, a float
+                assert (batch_value if name == "P" else batch_value[i]) == value, (
+                    name, m,
+                )
+
+    def test_rejects_a_negative_depth_in_the_array(self):
+        with pytest.raises(ParameterError, match="m must be >= 0, got -0.1"):
+            bessel_amplitudes(np.array([2.0, -0.1, 3.0]), 0.0, 5, POWER)
 
 
 class TestFieldSpectrum:

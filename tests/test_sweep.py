@@ -20,6 +20,7 @@ from conftest import (
     make_modulation,
     make_spectrum,
     pair_spectrum,
+    reference_servo_trace,
 )
 from scipy.optimize import brentq
 
@@ -505,6 +506,67 @@ class TestServo:
         match = f"ServoScenario.{field} must be finite"
         with pytest.raises(ParameterError, match=match):
             ServoScenario(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("m_start, m_stop", [(-0.1, 2.5), (2.5, -0.1)])
+    def test_negative_depths_are_rejected(self, m_start, m_stop):
+        # m_stop < 0 used to fail mid-run, at the step that reached it
+        with pytest.raises(ParameterError, match="m_start and m_stop .* >= 0"):
+            ServoScenario(m_start=m_start, m_stop=m_stop, n_steps=400)
+
+    def test_family_must_be_a_bessel_family(self):
+        scen = ServoScenario(m_start=2.4, m_stop=2.5, n_steps=400)
+        with pytest.raises(ParameterError, match="BesselFamily .* got function"):
+            servo_lock_experiment(
+                self.atom, self.mod, lambda m: self.family(m), scen
+            )
+
+    def assert_trace_equals_reference(self, mod, family, scen):
+        trace = servo_lock_experiment(self.atom, mod, family, scen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a > 0.5 warns at every step
+            ref = reference_servo_trace(self.atom, mod, family, scen)
+        for field in ("m", "intensity", "delta", "response_m", "response_amplitude"):
+            assert np.array_equal(getattr(trace, field), getattr(ref, field)), field
+        assert (trace.lock_lost, trace.lock_lost_step) == (
+            ref.lock_lost, ref.lock_lost_step,
+        )
+        return trace
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.6])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    def test_trace_equals_stepwise_reference(self, epsilon, alpha):
+        family = bessel_family(epsilon, 5, POWER, OMEGA)
+        mod = make_modulation(a=0.2, omega_m=0.5 * self.gt, alpha=alpha)
+        scen = ServoScenario(
+            m_start=2.3, m_stop=2.6, n_steps=600, intensity_period_steps=100
+        )
+        trace = self.assert_trace_equals_reference(mod, family, scen)
+        assert not trace.lock_lost and trace.response_m.size == 11
+
+    def test_fixed_m_trace_equals_stepwise_reference(self):
+        scen = ServoScenario(
+            m_start=2.45, m_stop=2.45, n_steps=600, intensity_period_steps=100
+        )
+        self.assert_trace_equals_reference(self.mod, self.family, scen)
+
+    def test_lock_loss_trace_equals_stepwise_reference(self):
+        scen = ServoScenario(
+            m_start=2.4, m_stop=2.5, n_steps=400, gain=8.0,
+            intensity_period_steps=100,
+        )
+        trace = self.assert_trace_equals_reference(self.mod, self.family, scen)
+        assert trace.lock_lost
+
+    def test_large_index_warns_once_and_equals_stepwise_reference(self):
+        mod = make_modulation(a=0.6, omega_m=0.5 * self.gt)
+        scen = ServoScenario(
+            m_start=2.4, m_stop=2.5, n_steps=400, intensity_period_steps=100
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_trace_equals_reference(mod, self.family, scen)
+        truncation = [w for w in caught if "truncation degrades" in str(w.message)]
+        assert len(truncation) == 1
 
     def test_zero_gain_servo_never_moves(self):
         scen = ServoScenario(
