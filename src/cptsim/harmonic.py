@@ -15,7 +15,8 @@ spectrum, solves it at each detuning and projects the amplitudes onto the
 lock-in references; `solve_fourier_amplitudes` and `harmonic_signals` are
 the one-shot forms of the same assembly, solve and projection, and
 `HarmonicSteps` assembles one system per call along a run of spectra (the
-servo's steps).
+servo's steps); given couplings of array fields, `HarmonicSignal` solves
+many spectra in one batched solve per call (a sweep grid's crossings).
 `linearized_signals` evaluates the closed-form small-signal
 limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
@@ -110,8 +111,10 @@ _J = _TABLE[:, SD].reshape(15, 15)
 
 
 def _fourier_matrix(params) -> np.ndarray:
-    """A for parameters (Gamma_g_tilde, K, a*omega_m, omega_m, sd)."""
-    return (_TABLE @ np.asarray(params, dtype=float)).reshape(15, 15)
+    """A for parameters (Gamma_g_tilde, K, a*omega_m, omega_m, sd), or one
+    A per row of parameters of shape (n, 5)."""
+    p = np.asarray(params, dtype=float)
+    return (p @ _TABLE.T).reshape(p.shape[:-1] + (15, 15))
 
 
 def _rhs(couplings: DerivedCouplings) -> np.ndarray:
@@ -127,29 +130,31 @@ def _rhs(couplings: DerivedCouplings) -> np.ndarray:
 def _fourier_system(
     couplings: DerivedCouplings, modulation: ModulationParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A at sd = 0, right-hand side b) of the Fourier system."""
-    A = _fourier_matrix((
-        couplings.Gamma_g_tilde,
-        couplings.K,
-        modulation.a * modulation.omega_m,
-        modulation.omega_m,
-        0.0,
-    ))
-    return A, _rhs(couplings)
+    """(A at sd = 0, right-hand side b) of the Fourier system; one of each
+    per lane for couplings of array fields."""
+    params = np.zeros(np.shape(couplings.K) + (5,))
+    params[..., GT], params[..., K] = couplings.Gamma_g_tilde, couplings.K
+    params[..., AW] = modulation.a * modulation.omega_m
+    params[..., W] = modulation.omega_m
+    return _fourier_matrix(params), _rhs(couplings)
 
 
 def _dressed_detuning(couplings: DerivedCouplings, delta: float) -> float:
     return 2.0 * delta + couplings.delta_r + couplings.delta_nr
 
 
-def _at_detuning(A0: np.ndarray, sd: float) -> np.ndarray:
-    """A(sd) = A0 + sd J, J the unit diagonal of the ten coherence rows."""
-    return A0 + sd * _J
+def _at_detuning(A0: np.ndarray, sd) -> np.ndarray:
+    """A(sd) = A0 + sd J, J the unit diagonal of the ten coherence rows; sd
+    is an array over the lanes of a stack A0."""
+    return A0 + np.multiply.outer(sd, _J)
 
 
-def _solve(A: np.ndarray, b: np.ndarray, width: float, omega_m: float) -> np.ndarray:
+def _solve(A: np.ndarray, b: np.ndarray, width, omega_m: float) -> np.ndarray:
     try:
-        return np.linalg.solve(A, b)
+        if b.ndim == 1:
+            return np.linalg.solve(A, b)
+        # numpy 2 reads a stack of vectors b of shape (n, 15) as one matrix
+        return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:  # unreachable for Gamma_g_tilde > 0
         raise ParameterError(
             f"Fourier-amplitude system singular (cond = {np.linalg.cond(A):.3g}); "
@@ -184,8 +189,16 @@ def solve_fourier_amplitudes(
     return _solve(A, b, couplings.Gamma_g_tilde, modulation.omega_m)
 
 
-def _lockin_weights(atom: AtomParams, P: float, calV_L: float, calV_R: float):
-    """(prefactor, calV_L^2 - calV_R^2, calV_L calV_R) of the lock-in signals."""
+def _lockin_weights(atom: AtomParams, P: float, calV_L, calV_R):
+    """(prefactor, calV_L^2 - calV_R^2, calV_L calV_R) of the lock-in signals;
+    over lanes, formed lane by lane in Python floats, because `float ** 2`
+    and numpy's square round differently about once in a thousand values."""
+    if isinstance(calV_L, np.ndarray):
+        pref, dV2, VV = zip(*(
+            _lockin_weights(atom, P, L, R)
+            for L, R in zip(calV_L.tolist(), calV_R.tolist())
+        ))
+        return pref[0], np.array(dV2), np.array(VV)
     return (
         4.0 * P / (atom.gamma * atom.Gamma),
         calV_L**2 - calV_R**2,
@@ -204,6 +217,18 @@ def _project(weights, x: np.ndarray):
     return S, Q
 
 
+def _power_slope(terms, x: np.ndarray, y: np.ndarray) -> float:
+    """`HarmonicSignal.power_sensitivity` of one spectrum, from x = A^-1 b,
+    y = A^-T c and terms (V_L + V_R, K, V_LR, V_R, delta_r + delta_nr)."""
+    V_sum, asym, V_LR, V_R, x0 = terms
+    A1 = _fourier_matrix((V_sum, asym, 0.0, 0.0, 0.0))
+    b1 = np.zeros(15)
+    b1[0], b1[1], b1[10] = -asym, V_LR, V_R
+    Jx = np.zeros(15)
+    Jx[_COHERENCE] = x[_COHERENCE]
+    return float(y @ (b1 - A1 @ x - x0 * Jx) / (2.0 * (y @ Jx)))
+
+
 class HarmonicSignal:
     """In-phase signal S(delta) of the harmonic path, assembled once.
 
@@ -212,6 +237,11 @@ class HarmonicSignal:
     A0, b and the in-phase row c are built once and each evaluation is one
     15x15 solve.  S equals `harmonic_signals(...).S` bit for bit.  Warns
     once, here, when a > 0.5.
+
+    `couplings` holds floats for one spectrum, or numpy arrays over lanes
+    j (P shared) for many: delta, the width and the power slope are then
+    arrays over the lanes, each evaluation is one batched solve, and every
+    lane equals the signal of its own spectrum bit for bit.
     """
 
     def __init__(
@@ -232,20 +262,20 @@ class HarmonicSignal:
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
         # c^T x = S cos(alpha) - Q sin(alpha), the in-phase signal
         pref, dV2, VV = self._weights
-        c = np.zeros(15)
-        c[[RG1, RC1, RCm1]] = pref * self._cos * np.array([dV2, -VV, -VV])
-        c[[IG1, IC1, ICm1]] = -pref * self._sin * np.array([dV2, -VV, VV])
+        c = np.zeros(np.shape(dV2) + (15,))
+        c[..., [RG1, RC1, RCm1]] = pref * self._cos * np.stack([dV2, -VV, -VV], -1)
+        c[..., [IG1, IC1, ICm1]] = -pref * self._sin * np.stack([dV2, -VV, VV], -1)
         self.c = c
 
     def _amplitudes(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         A = _at_detuning(self.A0, _dressed_detuning(self.couplings, delta))
         return A, _solve(A, self.b, self.width, self.modulation.omega_m)
 
-    def __call__(self, delta: float) -> float:
-        S, Q = _project(self._weights, self._amplitudes(delta)[1])
+    def __call__(self, delta):
+        S, Q = _project(self._weights, self._amplitudes(delta)[1].T)
         return S * self._cos - Q * self._sin
 
-    def power_sensitivity(self, delta0: float) -> float:
+    def power_sensitivity(self, delta0):
         """d(delta_0)/ds at a crossing delta0, for the power scale E^2 -> s E^2.
 
         Every coupling is linear in s except Gamma_g, so A = A_fixed + s A1
@@ -254,20 +284,17 @@ class HarmonicSignal:
         scales (S = 0 at the root).  The implicit-function theorem on
         c^T A^-1 b = 0, with x = A^-1 b and y = A^-T c, gives
         d(delta_0)/ds = y^T (b1 - A1 x - x0 J x) / (2 y^T J x).
-        Divide by E^2 for d(delta_0)/dE^2.
+        Divide by E^2 for d(delta_0)/dE^2.  Over lanes, each lane's dot
+        products are its own, so they round as on one spectrum.
         """
         cp = self.couplings
         A, x = self._amplitudes(delta0)
-        y = np.linalg.solve(A.T, self.c)
-        A1 = _fourier_matrix((cp.V_L + cp.V_R, cp.K, 0.0, 0.0, 0.0))
-        b1 = np.zeros(15)
-        b1[0] = -cp.K
-        b1[1] = cp.V_LR
-        b1[10] = cp.V_R
-        Jx = np.zeros(15)
-        Jx[_COHERENCE] = x[_COHERENCE]
-        x0 = cp.delta_r + cp.delta_nr
-        return float(y @ (b1 - A1 @ x - x0 * Jx) / (2.0 * (y @ Jx)))
+        y = _solve(np.swapaxes(A, -1, -2), self.c, self.width, self.modulation.omega_m)
+        terms = (cp.V_L + cp.V_R, cp.K, cp.V_LR, cp.V_R, cp.delta_r + cp.delta_nr)
+        if x.ndim == 1:
+            return _power_slope(terms, x, y)
+        lanes = zip(*(t.tolist() for t in terms))
+        return np.array([_power_slope(t, xj, yj) for t, xj, yj in zip(lanes, x, y)])
 
 
 class HarmonicSteps:
@@ -296,12 +323,8 @@ class HarmonicSteps:
         self._gt, self._K, self._dr, self._dnr = (
             v.tolist() for v in (c.Gamma_g_tilde, c.K, c.delta_r, c.delta_nr)
         )
-        # per step in Python floats: `float ** 2` and numpy's square of an
-        # array round differently about once in a thousand values
-        self._weights = [
-            _lockin_weights(atom, c.P, L, R)
-            for L, R in zip(c.calV_L.tolist(), c.calV_R.tolist())
-        ]
+        pairs = zip(c.calV_L.tolist(), c.calV_R.tolist())
+        self._weights = [_lockin_weights(atom, c.P, L, R) for L, R in pairs]
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
 
     def __call__(self, j: int, delta: float) -> float:
@@ -352,7 +375,8 @@ def _first_order(atom: AtomParams, c: DerivedCouplings, modulation: ModulationPa
     common = pref * modulation.a * w * c.V_LR / (g2w2 * g2w2)
     g_S = 4.0 * common * gt
     g_Q = 2.0 * common * w * (3.0 * gt * gt + w * w) / (gt * gt)
-    return g_S, g_Q, c.calV_L * c.calV_R, c.K * (c.calV_L**2 - c.calV_R**2)
+    dV2 = c.calV_L * c.calV_L - c.calV_R * c.calV_R  # x*x, on floats and arrays
+    return g_S, g_Q, c.calV_L * c.calV_R, c.K * dV2
 
 
 def _reduce(values, how: str):

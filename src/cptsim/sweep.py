@@ -32,6 +32,7 @@ from .core import (
     FieldSpectrum,
     ModulationParams,
     ParameterError,
+    _fsum_columns,
     amplitude_couplings,
     bessel_amplitudes,
     bessel_spectrum,
@@ -63,6 +64,8 @@ POWER_STEP = 1e-4
 SWEEP_XTOL = 1e-8
 # Midpoint densifications `find_ips_and_pzds` may apply to its m-grid.
 MAX_REFINE = 3
+# Relative tolerance of every Brent root, the smallest scipy's brentq allows.
+RTOL = 4.0 * float(np.finfo(float).eps)
 
 __all__ = [
     "SignalPath",
@@ -89,16 +92,94 @@ class BracketError(ValueError):
     """Raised when the in-phase signal has no sign change over the bracket."""
 
 
-def brentq(f, a, b, **kwargs):
-    """`scipy.optimize.brentq`, imported on first call.
-
-    Importing scipy.optimize takes most of the time of `import cptsim`, and
-    only the root finders of the harmonic and time-domain paths and the
-    m-root refinement need it.
+def _brent(a, b, xtol, rtol, f_a=None, f_b=None, maxiter=100):
+    """Brent's method on [a, b] as a generator: it yields each x at which
+    it needs f (f(a) and f(b) first, unless given), takes f(x) back by
+    `send`, and returns the root.  A port of the branches of scipy's C
+    `brentq`: roots, iterates and errors equal scipy's (ValueError for a
+    NaN value or ends of one sign, RuntimeError after `maxiter`
+    iterations).
     """
-    from scipy.optimize import brentq as scipy_brentq
 
-    return scipy_brentq(f, a, b, **kwargs)
+    def checked(x, fx):
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return float(fx)
+
+    xpre, xcur = float(a), float(b)
+    fpre = checked(xpre, (yield xpre) if f_a is None else f_a)
+    fcur = checked(xcur, (yield xcur) if f_b is None else f_b)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre)
+                stry /= dblk * dpre * (fblk - fpre)
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = checked(xcur, (yield xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations")
+
+
+def brentq(f, a, b, xtol, rtol, f_a=None, f_b=None):
+    """scipy's `brentq(f, a, b, xtol=xtol, rtol=rtol)`, root and iterates,
+    from `_brent`; `f_a` and `f_b` are f(a) and f(b) if known."""
+    steps, value = _brent(a, b, xtol, rtol, f_a, f_b), None
+    try:
+        while True:
+            value = f(steps.send(value))
+    except StopIteration as done:
+        return done.value
+
+
+def _brent_lockstep(f, brackets) -> np.ndarray:
+    """Roots of n brackets (a_j, b_j, xtol_j, f(a_j), f(b_j)), each found as
+    `brentq` finds it.  The lanes j step together: f maps the x of every
+    lane to their values, once per round, and a lane that has converged
+    holds its root as its x.
+    """
+    steps = [_brent(a, b, xtol, RTOL, f_a, f_b) for a, b, xtol, f_a, f_b in brackets]
+    xs, values = np.empty(len(steps)), [None] * len(steps)
+    running = range(len(steps))
+    while True:
+        still = []
+        for j in running:
+            try:
+                xs[j] = steps[j].send(values[j])
+                still.append(j)
+            except StopIteration as done:
+                xs[j] = done.value
+        if not still:
+            return xs
+        running, values = still, f(xs).tolist()
 
 
 @dataclass(frozen=True)
@@ -224,8 +305,7 @@ def zero_crossing(
             f"S(lo) = {S_lo:.6g}, S(hi) = {S_hi:.6g}"
         )
     xtol = 1e-4 * gt if xtol is None else xtol
-    root = brentq(signal, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps)
-    return float(root)
+    return brentq(signal, lo, hi, xtol=xtol, rtol=RTOL, f_a=S_lo, f_b=S_hi)
 
 
 def crossing_and_sensitivity(
@@ -287,6 +367,41 @@ class BesselFamily:
         return amplitude_couplings(
             atom, dict(zip(ks, amps * np.sqrt(power_factors))), self.Omega
         )
+
+
+def _lockstep_pairs(
+    atom: AtomParams,
+    modulation: ModulationParams,
+    family: BesselFamily,
+    ms: list[float],
+) -> dict[float, tuple[float, float, float]]:
+    """(delta_0, dDelta0_dE2, E^2) of family(m) on the harmonic path for
+    every m, as lanes of one `HarmonicSignal`: each round of the lockstep
+    Brent is one batched solve.  Each lane's arithmetic is that of
+    `crossing_and_sensitivity` on family(m), E^2 the math.fsum of
+    `FieldSpectrum.total_power`, so every pair equals it bit for bit.
+    Unless every lane's bracket ends have strictly opposite signs (else an
+    error or a root at an end), it returns nothing: each m is then solved
+    on its own."""
+    if modulation.a == 0.0:
+        return {}
+    amps = bessel_amplitudes(
+        np.array(ms), family.epsilon, family.k_max, family.total_power
+    )
+    ks = range(-family.k_max, family.k_max + 1)
+    # `BesselFamily.couplings` at unit power factors, from amplitudes kept for E^2
+    signal = HarmonicSignal(
+        atom, amplitude_couplings(atom, dict(zip(ks, amps)), family.Omega), modulation
+    )
+    gt = signal.width
+    S_lo, S_hi = signal(-gt), signal(gt)
+    if not np.all(np.sign(S_lo) * np.sign(S_hi) == -1.0):
+        return {}
+    brackets = zip(*(v.tolist() for v in (-gt, gt, SWEEP_XTOL * gt, S_lo, S_hi)))
+    roots = _brent_lockstep(signal, brackets)
+    powers = _fsum_columns(amps * amps)
+    slopes = signal.power_sensitivity(roots) / powers
+    return dict(zip(ms, zip(roots.tolist(), slopes.tolist(), powers.tolist())))
 
 
 def bessel_family(
@@ -368,8 +483,10 @@ def find_ips_and_pzds(
     bracketed root finding in m.  The grid is checked for isolation by
     midpoint densification: if either root count changes, the densified
     grid is adopted (up to MAX_REFINE times).  `family` and the pair are
-    computed once per distinct m.  A BracketError or ParameterError names
-    the m at which it occurred.
+    computed once per distinct m; on the harmonic path with a
+    `BesselFamily`, the new m of each grid round as one batch
+    (`_lockstep_pairs`).  A BracketError or ParameterError names the m at
+    which it occurred, the smallest failing m of its round.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -378,6 +495,7 @@ def find_ips_and_pzds(
         raise ParameterError("m_grid must be strictly increasing")
 
     pairs: dict[float, tuple[float, float, float]] = {}
+    lockstep = path == "harmonic" and isinstance(family, BesselFamily)
 
     def pair_at(m: float) -> tuple[float, float, float]:
         """(delta_0, dDelta0_dE2, E^2) at m; an error is re-raised naming m."""
@@ -392,6 +510,12 @@ def find_ips_and_pzds(
         return pairs[m]
 
     def sign_changes(grid: list[float], which: int) -> list[int]:
+        new = [m for m in grid if m not in pairs]
+        if lockstep and new:
+            try:
+                pairs.update(_lockstep_pairs(atom, modulation, family, new))
+            except ParameterError:
+                pass  # an invalid depth or family: pair_at raises it naming the m
         return _sign_change_intervals([pair_at(m)[which] for m in grid])
 
     for _ in range(MAX_REFINE):
@@ -413,7 +537,7 @@ def find_ips_and_pzds(
         return intervals, [
             float(brentq(
                 lambda m: pair_at(m)[which], ms[i], ms[i + 1],
-                xtol=xtol_m, rtol=4.0 * np.finfo(float).eps,
+                xtol=xtol_m, rtol=RTOL,
             ))
             for i in intervals
         ]

@@ -13,17 +13,30 @@ import pytest
 
 from cptsim import (
     AtomParams,
+    BracketError,
     FieldSpectrum,
+    IpRoot,
     ModulationParams,
+    ParameterError,
+    SweepRecord,
+    SweepResult,
     asymmetry_shift,
     bessel_spectrum,
+    crossing_and_sensitivity,
     harmonic_signals,
     make_signal_function,
     solve_fourier_amplitudes,
     zero_crossing,
 )
 from cptsim import harmonic
-from cptsim.sweep import _servo_trace, symmetrizing_detuning
+from cptsim.sweep import (
+    MAX_REFINE,
+    RTOL,
+    _servo_trace,
+    _sign_change_intervals,
+    brentq,
+    symmetrizing_detuning,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,6 +155,72 @@ def reference_servo_trace(atom, modulation, family, scenario):
         delta = delta - scenario.gain * S / (2.0 * ref.A)
     return _servo_trace(
         ms, intensity, deltas, lost_at, scenario.intensity_period_steps
+    )
+
+
+def reference_ips_and_pzds(atom, modulation, family, m_grid, path="harmonic"):
+    """`find_ips_and_pzds` with every pair solved per point.
+
+    Each distinct m gets its own spectrum and `crossing_and_sensitivity`, in
+    the order the grid rounds ask for them; the lockstep grid of the
+    harmonic path must reproduce this result, and its errors, exactly.
+    """
+    ms = [float(m) for m in m_grid]
+    pairs = {}
+
+    def pair_at(m):
+        if m not in pairs:
+            spectrum = family(m)
+            try:
+                pairs[m] = crossing_and_sensitivity(
+                    atom, spectrum, modulation, path, allow_asymmetric=True
+                ) + (spectrum.total_power,)
+            except (BracketError, ParameterError) as exc:
+                raise type(exc)(f"at m = {m:.12g}, {exc}") from exc
+        return pairs[m]
+
+    def sign_changes(grid, which):
+        return _sign_change_intervals([pair_at(m)[which] for m in grid])
+
+    for _ in range(MAX_REFINE):
+        dense = sorted(ms + [0.5 * (a + b) for a, b in zip(ms, ms[1:])])
+        stable = all(
+            len(sign_changes(ms, which)) == len(sign_changes(dense, which))
+            for which in (0, 1)
+        )
+        ms = dense
+        if stable:
+            break
+    delta0s, derivs, powers = zip(*(pair_at(m) for m in ms))
+
+    def refine(which):
+        intervals = sign_changes(ms, which)
+        return intervals, [
+            brentq(
+                lambda m: pair_at(m)[which], ms[i], ms[i + 1],
+                xtol=1e-7 * (ms[-1] - ms[0]), rtol=RTOL,
+            )
+            for i in intervals
+        ]
+
+    pzd_intervals, pzd_roots = refine(0)
+    ip_intervals, ip_ms = refine(1)
+    ip_roots = []
+    for m_ip in ip_ms:
+        nearest = min(pzd_roots, key=lambda p: abs(p - m_ip), default=None)
+        gap = None if nearest is None else m_ip - nearest
+        ip_roots.append(IpRoot(m_ip, pair_at(m_ip)[0], nearest, gap))
+    near_ip = {j for i in ip_intervals for j in (i, i + 1)}
+    near_pzd = {j for i in pzd_intervals for j in (i, i + 1)}
+    return SweepResult(
+        records=tuple(
+            SweepRecord(m, powers[i], delta0s[i], derivs[i], i in near_ip, i in near_pzd)
+            for i, m in enumerate(ms)
+        ),
+        ip_roots=tuple(ip_roots),
+        pzd_roots=tuple(pzd_roots),
+        delta0_range=(min(delta0s), max(delta0s)),
+        derivative_range=(min(derivs), max(derivs)),
     )
 
 

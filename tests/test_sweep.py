@@ -2,9 +2,15 @@
 
 import dataclasses
 import math
+import os
+import random
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +26,7 @@ from conftest import (
     make_modulation,
     make_spectrum,
     pair_spectrum,
+    reference_ips_and_pzds,
     reference_servo_trace,
 )
 from scipy.optimize import brentq
@@ -406,6 +413,231 @@ class TestFindIpsAndPzds:
             find_ips_and_pzds(atom, mod, family, [2.0, 2.8])
         with pytest.raises(ParameterError, match="strictly increasing"):
             find_ips_and_pzds(atom, mod, family, [2.0, 2.0, 2.8])
+
+
+class TestLockstepGrid:
+    """The harmonic grid crossings of `find_ips_and_pzds`, solved in lockstep,
+    against the per-point loop of `reference_ips_and_pzds`."""
+
+    @staticmethod
+    def sweep_and_reference(atom, mod, family, grid):
+        res = find_ips_and_pzds(atom, mod, family, grid)
+        ref = reference_ips_and_pzds(atom, mod, family, grid)
+        assert res == ref
+        return res
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.6])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.2])
+    def test_records_and_roots_equal_per_point_loop(self, atom, epsilon, alpha):
+        # alpha = 0.6 at omega_m = Gamma_g_tilde has three roots in +-Gamma_g_tilde
+        # at every m: the batch must take the root the per-point crossing takes
+        family = bessel_family(epsilon, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=gt, alpha=alpha)
+        res = self.sweep_and_reference(atom, mod, family, np.linspace(2.0, 2.8, 9))
+        assert len(res.records) >= 17 and res.ip_roots
+        for r in res.records:
+            spec = family(r.m)
+            pair = crossing_and_sensitivity(atom, spec, mod)
+            assert (r.delta0, r.dDelta0_dE2, r.E2) == pair + (spec.total_power,)
+
+    def test_large_index_warns_and_equals_per_point_loop(self, atom):
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.6, omega_m=0.5 * gt)
+        with pytest.warns(UserWarning, match="truncation degrades"):
+            find_ips_and_pzds(atom, mod, family, np.linspace(2.0, 2.8, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self.sweep_and_reference(atom, mod, family, np.linspace(2.0, 2.8, 5))
+
+    @staticmethod
+    def assert_same_error(atom, mod, family, grid, kind):
+        with pytest.raises(kind) as info:
+            find_ips_and_pzds(atom, mod, family, grid)
+        with pytest.raises(kind) as ref:
+            reference_ips_and_pzds(atom, mod, family, grid)
+        assert str(info.value) == str(ref.value)
+        assert isinstance(info.value.__cause__, kind)
+        return str(info.value)
+
+    def test_flat_signal_names_the_same_m(self, atom):
+        family = bessel_family(0.0, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        msg = self.assert_same_error(
+            atom, make_modulation(a=0.0, omega_m=0.5 * gt), family,
+            [2.0, 2.4, 2.8], ParameterError,
+        )
+        assert msg.startswith("at m = 2, the in-phase signal has no slope")
+        msg = self.assert_same_error(
+            atom, make_modulation(a=0.2, omega_m=0.5 * gt), family,
+            [0.0, 0.5, 1.0], ParameterError,
+        )
+        assert msg.startswith("at m = 0, ") and "0 at both bracket ends" in msg
+
+    def test_bracket_failure_names_the_smallest_failing_m(self, atom):
+        # near alpha = pi/2 the in-phase signal is mostly the quadrature, which
+        # is even in delta: at omega_m = Gamma_g_tilde and alpha = 1.4 it has
+        # no sign change over +-Gamma_g_tilde at m = 1.0, 1.1 and 2.8
+        family = bessel_family(0.0, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=gt, alpha=1.4)
+        msg = self.assert_same_error(
+            atom, mod, family, [0.5, 1.0, 1.1, 2.8], BracketError
+        )
+        assert msg.startswith("at m = 1, no crossing in bracket")
+        msg = self.assert_same_error(atom, mod, family, [2.4, 2.8, 3.2], BracketError)
+        assert msg.startswith("at m = 2.8, no crossing in bracket")
+
+    def test_other_paths_and_families_stay_per_point(self, atom, monkeypatch):
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        grid = np.linspace(2.0, 2.8, 5)
+        batched = find_ips_and_pzds(atom, mod, family, grid)
+        calls = []
+        real = sweep.crossing_and_sensitivity
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "crossing_and_sensitivity", counted)
+        # a family that is not a BesselFamily takes the per-point loop
+        assert find_ips_and_pzds(atom, mod, lambda m: family(m), grid) == batched
+        per_point = len(calls)
+        calls.clear()
+        find_ips_and_pzds(atom, mod, family, grid)
+        # the batch leaves only the m-root refinement to the per-point crossing
+        assert len(calls) == per_point - len(batched.records)
+
+
+class TestBrent:
+    """The port of scipy's brentq, against scipy.optimize.brentq."""
+
+    @staticmethod
+    def iterates(solver, f, *args, **kwargs):
+        xs = []
+
+        def logged(x):
+            xs.append(x)
+            return f(x)
+
+        return solver(logged, *args, **kwargs), xs
+
+    def test_matches_scipy_on_harmonic_crossings(self, atom):
+        rng = random.Random(20)
+        for _ in range(400):
+            spec = make_spectrum(m=rng.uniform(1.6, 3.4), epsilon=rng.uniform(-0.3, 0.3))
+            gt = derive_couplings(atom, spec).Gamma_g_tilde
+            mod = make_modulation(a=rng.uniform(0.05, 0.5), omega_m=rng.uniform(0.05, 2.0) * gt)
+            signal = make_signal_function(atom, spec, mod)
+            args = (signal, -gt, gt)
+            kw = dict(xtol=sweep.SWEEP_XTOL * gt, rtol=sweep.RTOL)
+            root, xs = self.iterates(sweep.brentq, *args, **kw)
+            assert (root, xs) == self.iterates(brentq, *args, **kw)
+            # with the ends passed in, the same iterates without the ends
+            ends = dict(f_a=signal(-gt), f_b=signal(gt))
+            assert self.iterates(sweep.brentq, *args, **kw, **ends) == (root, xs[2:])
+            assert len(xs) > 4
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x - 1.0, 1.0, 3.0),  # root at the low end
+            (lambda x: x - 3.0, 1.0, 3.0),  # root at the high end
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: 1.0 if x > 0.25 else -1.0, -1.0, 1.0),  # a jump
+        ],
+    )
+    def test_matches_scipy_on_plain_functions(self, f, a, b):
+        kw = dict(xtol=1e-12, rtol=sweep.RTOL)
+        assert self.iterates(sweep.brentq, f, a, b, **kw) == self.iterates(
+            brentq, f, a, b, **kw
+        )
+
+    def test_rejects_ends_of_one_sign_and_nan(self):
+        kw = dict(xtol=1e-12, rtol=sweep.RTOL)
+        with pytest.raises(ValueError, match="different signs"):
+            sweep.brentq(lambda x: x * x + 1.0, -1.0, 1.0, **kw)
+        with pytest.raises(ValueError, match="NaN"):
+            sweep.brentq(lambda x: math.nan if x > 0.5 else x - 0.9, 0.0, 1.0, **kw)
+        with pytest.raises(ValueError, match="NaN"):
+            sweep.brentq(lambda x: x, -1.0, 1.0, f_a=math.nan, **kw)
+
+    def test_non_convergence_raises_runtime_error(self):
+        # a jump at 0 with an absolute tolerance of 1e-300: bisection would
+        # need about a thousand halvings
+        def jump(x):
+            return 1.0 if x > 0.0 else -1.0
+
+        kw = dict(xtol=1e-300, rtol=sweep.RTOL)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            sweep.brentq(jump, -1.0, 1.0, **kw)
+        with pytest.raises(RuntimeError):
+            brentq(jump, -1.0, 1.0, **kw)
+
+    def test_lockstep_equals_one_root_driver(self, atom):
+        rng = random.Random(3)
+        signals, lo, hi, xtol = [], [], [], []
+        for _ in range(12):
+            spec = make_spectrum(m=rng.uniform(1.6, 3.4), epsilon=rng.uniform(-0.3, 0.3))
+            gt = derive_couplings(atom, spec).Gamma_g_tilde
+            mod = make_modulation(a=0.2, omega_m=rng.uniform(0.05, 2.0) * gt)
+            signals.append(make_signal_function(atom, spec, mod))
+            # brackets and tolerances that converge after different rounds
+            lo.append(-gt * rng.uniform(0.2, 1.0))
+            hi.append(gt)
+            xtol.append(1e-8 * gt * rng.uniform(0.1, 10.0))
+        f_lo = [s(a) for s, a in zip(signals, lo)]
+        f_hi = [s(b) for s, b in zip(signals, hi)]
+        rounds = []
+
+        def f(xs):
+            rounds.append(xs.tolist())
+            return np.array([s(x) for s, x in zip(signals, xs)])
+
+        roots = sweep._brent_lockstep(f, zip(lo, hi, xtol, f_lo, f_hi))
+        lanes = [
+            self.iterates(
+                sweep.brentq, s, a, b, xtol=t, rtol=sweep.RTOL, f_a=fa, f_b=fb
+            )
+            for s, a, b, t, fa, fb in zip(signals, lo, hi, xtol, f_lo, f_hi)
+        ]
+        assert roots.tolist() == [root for root, _ in lanes]
+        # each lane's x along the rounds is its own iterate sequence
+        for j, (_, xs) in enumerate(lanes):
+            assert [r[j] for r in rounds[: len(xs)]] == xs
+        counts = {len(xs) for _, xs in lanes}
+        assert len(rounds) == max(counts) and len(counts) > 1
+
+
+def test_run_path_does_not_import_scipy_optimize(tmp_path):
+    # a harmonic m-sweep through run_scenario, a time-domain crossing and a
+    # short servo, in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    script = textwrap.dedent(f"""
+        import sys
+        from cptsim import ServoScenario, bessel_family, servo_lock_experiment, zero_crossing
+        from cptsim.config import parse_config
+        from cptsim.runner import run_scenario
+
+        config = parse_config(open({str(root / "configs" / "thin_m_sweep.yaml")!r}).read())
+        run_scenario(config, {str(tmp_path)!r})
+        atom, mod = config.atom.to_params(), config.modulation.to_params()
+        family = bessel_family(0.2, 5, config.spectrum.total_power, atom.omega_g / 2)
+        zero_crossing(atom, family(2.4), mod, path="time-domain")
+        servo_lock_experiment(
+            atom, mod, family, ServoScenario(2.3, 2.5, 200, intensity_period_steps=50)
+        )
+        assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+    """)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestSymmetrizingDetuning:
