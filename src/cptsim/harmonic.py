@@ -100,21 +100,21 @@ _ROW, _COL, _COEF, _PARAM = (
     ))
 )
 _COHERENCE = np.arange(10)
-# A(sd) flattened is _TABLE @ (Gamma_g_tilde, K, a*omega_m, omega_m, sd).
+# A(sd) flattened is (Gamma_g_tilde, K, a*omega_m, omega_m, sd) @ _TABLE.
 # Every coefficient is 0, +-1 or +-2 and an entry has at most two nonzero
 # terms (one parameter, plus sd on the diagonal), so each entry is rounded
 # once, as when it is written out term by term.
-_TABLE = np.zeros((15 * 15, 5))
-_TABLE[15 * _ROW + _COL, _PARAM] = _COEF
-_TABLE[16 * _COHERENCE, SD] = 1.0
-_J = _TABLE[:, SD].reshape(15, 15)
+_TABLE = np.zeros((5, 15 * 15))
+_TABLE[_PARAM, 15 * _ROW + _COL] = _COEF
+_TABLE[SD, 16 * _COHERENCE] = 1.0
+_J = _TABLE[SD].reshape(15, 15)
 
 
 def _fourier_matrix(params) -> np.ndarray:
     """A for parameters (Gamma_g_tilde, K, a*omega_m, omega_m, sd), or one
     A per row of parameters of shape (n, 5)."""
     p = np.asarray(params, dtype=float)
-    return (p @ _TABLE.T).reshape(p.shape[:-1] + (15, 15))
+    return (p @ _TABLE).reshape(p.shape[:-1] + (15, 15))
 
 
 def _rhs(couplings: DerivedCouplings) -> np.ndarray:

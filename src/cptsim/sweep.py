@@ -64,8 +64,13 @@ POWER_STEP = 1e-4
 SWEEP_XTOL = 1e-8
 # Midpoint densifications `find_ips_and_pzds` may apply to its m-grid.
 MAX_REFINE = 3
-# Relative tolerance of every Brent root, the smallest scipy's brentq allows.
+# Relative tolerance of every Brent root, the smallest scipy's brentq allows,
+# and the iterations after which it gives up, scipy's default.
 RTOL = 4.0 * float(np.finfo(float).eps)
+MAXITER = 100
+# Most lanes `find_ips_and_pzds` solves in one batch, which bounds the memory
+# of its stacked 15x15 systems.
+MAX_LANES = 1024
 
 __all__ = [
     "SignalPath",
@@ -92,13 +97,13 @@ class BracketError(ValueError):
     """Raised when the in-phase signal has no sign change over the bracket."""
 
 
-def _brent(a, b, xtol, rtol, f_a=None, f_b=None, maxiter=100):
+def _brent(a, b, xtol, f_a=None, f_b=None):
     """Brent's method on [a, b] as a generator: it yields each x at which
     it needs f (f(a) and f(b) first, unless given), takes f(x) back by
     `send`, and returns the root.  A port of the branches of scipy's C
-    `brentq`: roots, iterates and errors equal scipy's (ValueError for a
-    NaN value or ends of one sign, RuntimeError after `maxiter`
-    iterations).
+    `brentq` at rtol = RTOL: roots, iterates and errors equal scipy's
+    (ValueError for a NaN value or ends of one sign, RuntimeError after
+    MAXITER iterations).
     """
 
     def checked(x, fx):
@@ -118,14 +123,14 @@ def _brent(a, b, xtol, rtol, f_a=None, f_b=None, maxiter=100):
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -146,13 +151,13 @@ def _brent(a, b, xtol, rtol, f_a=None, f_b=None, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = checked(xcur, (yield xcur))
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations")
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations")
 
 
-def brentq(f, a, b, xtol, rtol, f_a=None, f_b=None):
-    """scipy's `brentq(f, a, b, xtol=xtol, rtol=rtol)`, root and iterates,
+def brentq(f, a, b, xtol, f_a=None, f_b=None):
+    """scipy's `brentq(f, a, b, xtol=xtol, rtol=RTOL)`, root and iterates,
     from `_brent`; `f_a` and `f_b` are f(a) and f(b) if known."""
-    steps, value = _brent(a, b, xtol, rtol, f_a, f_b), None
+    steps, value = _brent(a, b, xtol, f_a, f_b), None
     try:
         while True:
             value = f(steps.send(value))
@@ -166,7 +171,7 @@ def _brent_lockstep(f, brackets) -> np.ndarray:
     lane to their values, once per round, and a lane that has converged
     holds its root as its x.
     """
-    steps = [_brent(a, b, xtol, RTOL, f_a, f_b) for a, b, xtol, f_a, f_b in brackets]
+    steps = [_brent(a, b, xtol, f_a, f_b) for a, b, xtol, f_a, f_b in brackets]
     xs, values = np.empty(len(steps)), [None] * len(steps)
     running = range(len(steps))
     while True:
@@ -305,7 +310,7 @@ def zero_crossing(
             f"S(lo) = {S_lo:.6g}, S(hi) = {S_hi:.6g}"
         )
     xtol = 1e-4 * gt if xtol is None else xtol
-    return brentq(signal, lo, hi, xtol=xtol, rtol=RTOL, f_a=S_lo, f_b=S_hi)
+    return brentq(signal, lo, hi, xtol=xtol, f_a=S_lo, f_b=S_hi)
 
 
 def crossing_and_sensitivity(
@@ -343,8 +348,8 @@ class BesselFamily:
     """Family m -> truncated Bessel spectrum at fixed asymmetry and power.
 
     Calling it with m returns `bessel_spectrum(m, epsilon, k_max,
-    total_power, Omega)`; `couplings` builds the couplings of many depths
-    and power factors at once, for the servo's steps.
+    total_power, Omega)`; `amplitudes` and `couplings` build the spectra of
+    many depths at once, for the servo's steps and a sweep grid's lanes.
     """
 
     epsilon: float
@@ -357,16 +362,16 @@ class BesselFamily:
             m, self.epsilon, self.k_max, self.total_power, self.Omega
         )
 
-    def couplings(
-        self, atom: AtomParams, ms: np.ndarray, power_factors: np.ndarray
-    ) -> DerivedCouplings:
-        """Couplings of self(m_j).scaled(power_factors[j]) for every j, as
-        arrays over j, each element equal to `derive_couplings` bit for bit."""
-        amps = bessel_amplitudes(ms, self.epsilon, self.k_max, self.total_power)
+    def amplitudes(self, ms: np.ndarray) -> np.ndarray:
+        """Amplitudes E_k of self(m_j), k along axis 0 and j along axis 1."""
+        return bessel_amplitudes(ms, self.epsilon, self.k_max, self.total_power)
+
+    def couplings(self, atom: AtomParams, amplitudes: np.ndarray) -> DerivedCouplings:
+        """Couplings of the spectra whose amplitudes are the columns of
+        `amplitudes` (as from `amplitudes`, or scaled), as arrays over the
+        columns, each element equal to `derive_couplings` bit for bit."""
         ks = range(-self.k_max, self.k_max + 1)
-        return amplitude_couplings(
-            atom, dict(zip(ks, amps * np.sqrt(power_factors))), self.Omega
-        )
+        return amplitude_couplings(atom, dict(zip(ks, amplitudes)), self.Omega)
 
 
 def _lockstep_pairs(
@@ -385,14 +390,8 @@ def _lockstep_pairs(
     on its own."""
     if modulation.a == 0.0:
         return {}
-    amps = bessel_amplitudes(
-        np.array(ms), family.epsilon, family.k_max, family.total_power
-    )
-    ks = range(-family.k_max, family.k_max + 1)
-    # `BesselFamily.couplings` at unit power factors, from amplitudes kept for E^2
-    signal = HarmonicSignal(
-        atom, amplitude_couplings(atom, dict(zip(ks, amps)), family.Omega), modulation
-    )
+    amps = family.amplitudes(np.array(ms))
+    signal = HarmonicSignal(atom, family.couplings(atom, amps), modulation)
     gt = signal.width
     S_lo, S_hi = signal(-gt), signal(gt)
     if not np.all(np.sign(S_lo) * np.sign(S_hi) == -1.0):
@@ -484,9 +483,9 @@ def find_ips_and_pzds(
     midpoint densification: if either root count changes, the densified
     grid is adopted (up to MAX_REFINE times).  `family` and the pair are
     computed once per distinct m; on the harmonic path with a
-    `BesselFamily`, the new m of each grid round as one batch
-    (`_lockstep_pairs`).  A BracketError or ParameterError names the m at
-    which it occurred, the smallest failing m of its round.
+    `BesselFamily`, the new m of each grid round in batches of at most
+    MAX_LANES (`_lockstep_pairs`).  A BracketError or ParameterError names
+    the m at which it occurred, the smallest failing m of its round.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -510,10 +509,12 @@ def find_ips_and_pzds(
         return pairs[m]
 
     def sign_changes(grid: list[float], which: int) -> list[int]:
-        new = [m for m in grid if m not in pairs]
-        if lockstep and new:
+        new = [m for m in grid if m not in pairs] if lockstep else []
+        for start in range(0, len(new), MAX_LANES):
             try:
-                pairs.update(_lockstep_pairs(atom, modulation, family, new))
+                pairs.update(_lockstep_pairs(
+                    atom, modulation, family, new[start : start + MAX_LANES]
+                ))
             except ParameterError:
                 pass  # an invalid depth or family: pair_at raises it naming the m
         return _sign_change_intervals([pair_at(m)[which] for m in grid])
@@ -535,10 +536,7 @@ def find_ips_and_pzds(
         """Sign-change intervals of pair entry `which` and its roots in m."""
         intervals = sign_changes(ms, which)
         return intervals, [
-            float(brentq(
-                lambda m: pair_at(m)[which], ms[i], ms[i + 1],
-                xtol=xtol_m, rtol=RTOL,
-            ))
+            brentq(lambda m: pair_at(m)[which], ms[i], ms[i + 1], xtol=xtol_m)
             for i in intervals
         ]
 
@@ -709,10 +707,10 @@ def servo_lock_experiment(
 
     `family` is a `bessel_family`.  Step j's spectrum is family(m_j) scaled
     by intensity_j, and every step's couplings are built up front in one
-    numpy pass (`BesselFamily.couplings`), so memory grows with n_steps.
-    Only delta is stepped in Python, by one `HarmonicSteps` solve per step;
-    the trace equals that of calling `harmonic_signals` on each step's
-    spectrum, bit for bit.
+    numpy pass (`BesselFamily.amplitudes` and `couplings`), so memory grows
+    with n_steps.  Only delta is stepped in Python, by one `HarmonicSteps`
+    solve per step; the trace equals that of calling `harmonic_signals` on
+    each step's spectrum, bit for bit.
     """
     if not isinstance(family, BesselFamily):
         raise ParameterError(
@@ -729,9 +727,8 @@ def servo_lock_experiment(
     ms = np.linspace(scenario.m_start, scenario.m_stop, n)
     phases = 2.0 * math.pi * np.arange(n) / scenario.intensity_period_steps
     intensity = 1.0 + scenario.intensity_depth * np.sin(phases)
-    step_signal = HarmonicSteps(
-        atom, family.couplings(atom, ms, intensity), modulation
-    )
+    amps = family.amplitudes(ms) * np.sqrt(intensity)
+    step_signal = HarmonicSteps(atom, family.couplings(atom, amps), modulation)
     deltas = np.empty(n)
     lost_at: int | None = None
     for j in range(n):

@@ -31,7 +31,6 @@ from cptsim import (
 from cptsim import harmonic
 from cptsim.sweep import (
     MAX_REFINE,
-    RTOL,
     _servo_trace,
     _sign_change_intervals,
     brentq,
@@ -198,7 +197,7 @@ def reference_ips_and_pzds(atom, modulation, family, m_grid, path="harmonic"):
         return intervals, [
             brentq(
                 lambda m: pair_at(m)[which], ms[i], ms[i + 1],
-                xtol=1e-7 * (ms[-1] - ms[0]), rtol=RTOL,
+                xtol=1e-7 * (ms[-1] - ms[0]),
             )
             for i in intervals
         ]

@@ -511,6 +511,28 @@ class TestLockstepGrid:
         # the batch leaves only the m-root refinement to the per-point crossing
         assert len(calls) == per_point - len(batched.records)
 
+    def test_batches_hold_at_most_max_lanes(self, atom, monkeypatch):
+        sizes = []
+        real = sweep._lockstep_pairs
+
+        def counted(atom, mod, family, ms):
+            sizes.append(len(ms))
+            return real(atom, mod, family, ms)
+
+        monkeypatch.setattr(sweep, "_lockstep_pairs", counted)
+        monkeypatch.setattr(sweep, "MAX_LANES", 4)
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        res = self.sweep_and_reference(atom, mod, family, np.linspace(2.0, 2.8, 9))
+        assert max(sizes) == 4 and sum(sizes) == len(res.records)
+        # a failing m in a later batch is the one named
+        family = bessel_family(0.0, 5, POWER, OMEGA)
+        mod = make_modulation(a=0.2, omega_m=gt, alpha=1.4)
+        grid = [2.0, 2.1, 2.2, 2.3, 2.4, 2.8, 3.2]
+        msg = self.assert_same_error(atom, mod, family, grid, BracketError)
+        assert msg.startswith("at m = 2.8, no crossing in bracket")
+
 
 class TestBrent:
     """The port of scipy's brentq, against scipy.optimize.brentq."""
@@ -533,9 +555,9 @@ class TestBrent:
             mod = make_modulation(a=rng.uniform(0.05, 0.5), omega_m=rng.uniform(0.05, 2.0) * gt)
             signal = make_signal_function(atom, spec, mod)
             args = (signal, -gt, gt)
-            kw = dict(xtol=sweep.SWEEP_XTOL * gt, rtol=sweep.RTOL)
+            kw = dict(xtol=sweep.SWEEP_XTOL * gt)
             root, xs = self.iterates(sweep.brentq, *args, **kw)
-            assert (root, xs) == self.iterates(brentq, *args, **kw)
+            assert (root, xs) == self.iterates(brentq, *args, **kw, rtol=sweep.RTOL)
             # with the ends passed in, the same iterates without the ends
             ends = dict(f_a=signal(-gt), f_b=signal(gt))
             assert self.iterates(sweep.brentq, *args, **kw, **ends) == (root, xs[2:])
@@ -552,13 +574,12 @@ class TestBrent:
         ],
     )
     def test_matches_scipy_on_plain_functions(self, f, a, b):
-        kw = dict(xtol=1e-12, rtol=sweep.RTOL)
-        assert self.iterates(sweep.brentq, f, a, b, **kw) == self.iterates(
-            brentq, f, a, b, **kw
+        assert self.iterates(sweep.brentq, f, a, b, xtol=1e-12) == self.iterates(
+            brentq, f, a, b, xtol=1e-12, rtol=sweep.RTOL
         )
 
     def test_rejects_ends_of_one_sign_and_nan(self):
-        kw = dict(xtol=1e-12, rtol=sweep.RTOL)
+        kw = dict(xtol=1e-12)
         with pytest.raises(ValueError, match="different signs"):
             sweep.brentq(lambda x: x * x + 1.0, -1.0, 1.0, **kw)
         with pytest.raises(ValueError, match="NaN"):
@@ -572,11 +593,10 @@ class TestBrent:
         def jump(x):
             return 1.0 if x > 0.0 else -1.0
 
-        kw = dict(xtol=1e-300, rtol=sweep.RTOL)
         with pytest.raises(RuntimeError, match="100 iterations"):
-            sweep.brentq(jump, -1.0, 1.0, **kw)
+            sweep.brentq(jump, -1.0, 1.0, xtol=1e-300)
         with pytest.raises(RuntimeError):
-            brentq(jump, -1.0, 1.0, **kw)
+            brentq(jump, -1.0, 1.0, xtol=1e-300, rtol=sweep.RTOL)
 
     def test_lockstep_equals_one_root_driver(self, atom):
         rng = random.Random(3)
@@ -600,9 +620,7 @@ class TestBrent:
 
         roots = sweep._brent_lockstep(f, zip(lo, hi, xtol, f_lo, f_hi))
         lanes = [
-            self.iterates(
-                sweep.brentq, s, a, b, xtol=t, rtol=sweep.RTOL, f_a=fa, f_b=fb
-            )
+            self.iterates(sweep.brentq, s, a, b, xtol=t, f_a=fa, f_b=fb)
             for s, a, b, t, fa, fb in zip(signals, lo, hi, xtol, f_lo, f_hi)
         ]
         assert roots.tolist() == [root for root, _ in lanes]
