@@ -383,7 +383,8 @@ def _mirror_index(k_max: int) -> np.ndarray:
 def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.ndarray:
     """Amplitudes E_k of `bessel_spectrum`, k = -k_max ... k_max along axis 0.
 
-    `m` is one depth, or a 1-D array of depths along axis 1.  Each column
+    `m` is one depth, or a 1-D array of depths along axis 1; a NaN or
+    infinite depth is rejected by value.  Each column
     equals the components of `bessel_spectrum` at its depth bit for bit:
     the same `jv` values, skew and math.fsum normalisation, applied
     elementwise.
@@ -391,6 +392,9 @@ def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.n
     from scipy.special import jv
 
     many = isinstance(m, np.ndarray)
+    for depth in np.ravel(m).tolist():
+        if not math.isfinite(depth):
+            raise ParameterError(f"modulation depth m must be finite, got {depth}")
     lowest = np.min(m) if many else m
     if lowest < 0:
         raise ParameterError(f"modulation depth m must be >= 0, got {lowest}")

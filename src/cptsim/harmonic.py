@@ -13,21 +13,22 @@ error in the first-harmonic amplitudes.
 `HarmonicSignal` assembles the resulting 15x15 linear system once per
 spectrum, solves it at each detuning and projects the amplitudes onto the
 lock-in references; `solve_fourier_amplitudes` and `harmonic_signals` are
-the one-shot forms of the same assembly, solve and projection, and
-`HarmonicSteps` assembles one system per call along a run of spectra (the
-servo's steps); given couplings of array fields, `HarmonicSignal` solves
-many spectra in one batched solve per call (a sweep grid's crossings).
+the one-shot forms of the same assembly, solve and projection.  Given
+couplings of array fields, `HarmonicSignal` solves many spectra in one
+batched solve per call (a sweep grid's crossings), or one of them per
+call (the servo's steps).
 `linearized_signals` evaluates the closed-form small-signal
 limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
 limit S and Q are both proportional to
 2 delta_tilde calV_L calV_R + K (calV_L^2 - calV_R^2), so K only shifts the
 dressed detuning, by the same amount at every omega_m.  The closed form is
-written once, in `ClosedFormSignal`, for couplings that are floats (one
-point) or numpy arrays over the slabs of a thick cell: it averages the
-signals over the slabs and solves their root, which needs no root finder
-because the signal is affine in delta.  Each signal object carries its
-width Gamma_g_tilde and its power slope `power_sensitivity`.
+written once, in `ClosedFormSignal`, for couplings that are numpy arrays
+over the slabs of a cell (`thick.cell_signal`; a thin point is one slab),
+and over lanes of spectra before them: it averages the signals over the
+slabs and solves their root, which needs no root finder because the
+signal is affine in delta.  Each signal object carries its width
+Gamma_g_tilde and its power slope `power_sensitivity`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .core import (
 __all__ = [
     "solve_fourier_amplitudes",
     "HarmonicSignal",
-    "HarmonicSteps",
     "harmonic_signals",
     "linearized_signals",
     "ClosedFormSignal",
@@ -107,7 +107,6 @@ _COHERENCE = np.arange(10)
 _TABLE = np.zeros((5, 15 * 15))
 _TABLE[_PARAM, 15 * _ROW + _COL] = _COEF
 _TABLE[SD, 16 * _COHERENCE] = 1.0
-_J = _TABLE[SD].reshape(15, 15)
 
 
 def _fourier_matrix(params) -> np.ndarray:
@@ -117,36 +116,21 @@ def _fourier_matrix(params) -> np.ndarray:
     return (p @ _TABLE).reshape(p.shape[:-1] + (15, 15))
 
 
-def _rhs(couplings: DerivedCouplings) -> np.ndarray:
-    """Right-hand side b; one row per step for couplings of array fields."""
+def _system(couplings: DerivedCouplings, modulation: ModulationParams):
+    """(parameter row, right-hand side b) of the Fourier system, one of each
+    per lane for couplings of array fields.  The row is (Gamma_g_tilde, K,
+    a*omega_m, omega_m, sd = 0); the caller sets sd, the dressed detuning
+    2 delta + delta_r + delta_nr, and assembles A with `_fourier_matrix`."""
     c = couplings
+    params = np.zeros(np.shape(c.K) + (5,))
+    params[..., GT], params[..., K] = c.Gamma_g_tilde, c.K
+    params[..., AW] = modulation.a * modulation.omega_m
+    params[..., W] = modulation.omega_m
     b = np.zeros(np.shape(c.K) + (15,))
     b[..., 0] = -c.K
     b[..., 1] = c.V_LR
     b[..., 10] = c.V_R + (c.Gamma_g_tilde - c.V_L - c.V_R) / 2.0
-    return b
-
-
-def _fourier_system(
-    couplings: DerivedCouplings, modulation: ModulationParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A at sd = 0, right-hand side b) of the Fourier system; one of each
-    per lane for couplings of array fields."""
-    params = np.zeros(np.shape(couplings.K) + (5,))
-    params[..., GT], params[..., K] = couplings.Gamma_g_tilde, couplings.K
-    params[..., AW] = modulation.a * modulation.omega_m
-    params[..., W] = modulation.omega_m
-    return _fourier_matrix(params), _rhs(couplings)
-
-
-def _dressed_detuning(couplings: DerivedCouplings, delta: float) -> float:
-    return 2.0 * delta + couplings.delta_r + couplings.delta_nr
-
-
-def _at_detuning(A0: np.ndarray, sd) -> np.ndarray:
-    """A(sd) = A0 + sd J, J the unit diagonal of the ten coherence rows; sd
-    is an array over the lanes of a stack A0."""
-    return A0 + np.multiply.outer(sd, _J)
+    return params, b
 
 
 def _solve(A: np.ndarray, b: np.ndarray, width, omega_m: float) -> np.ndarray:
@@ -184,9 +168,10 @@ def solve_fourier_amplitudes(
     """
     if modulation.beyond_recommended_index:
         warnings.warn(_truncation_warning(modulation), stacklevel=2)
-    A0, b = _fourier_system(couplings, modulation)
-    A = _at_detuning(A0, _dressed_detuning(couplings, delta))
-    return _solve(A, b, couplings.Gamma_g_tilde, modulation.omega_m)
+    c = couplings
+    p, b = _system(c, modulation)
+    p[SD] = 2.0 * delta + c.delta_r + c.delta_nr
+    return _solve(_fourier_matrix(p), b, c.Gamma_g_tilde, modulation.omega_m)
 
 
 def _lockin_weights(atom: AtomParams, P: float, calV_L, calV_R):
@@ -199,11 +184,7 @@ def _lockin_weights(atom: AtomParams, P: float, calV_L, calV_R):
             for L, R in zip(calV_L.tolist(), calV_R.tolist())
         ))
         return pref[0], np.array(dV2), np.array(VV)
-    return (
-        4.0 * P / (atom.gamma * atom.Gamma),
-        calV_L**2 - calV_R**2,
-        calV_L * calV_R,
-    )
+    return 4.0 * P / (atom.gamma * atom.Gamma), calV_L**2 - calV_R**2, calV_L * calV_R
 
 
 def _project(weights, x: np.ndarray):
@@ -233,46 +214,50 @@ class HarmonicSignal:
     """In-phase signal S(delta) of the harmonic path, assembled once.
 
     The dressed detuning sd = 2 delta + delta_r + delta_nr enters the
-    Fourier system only on the coherence diagonals, A(sd) = A0 + sd J, so
-    A0, b and the in-phase row c are built once and each evaluation is one
-    15x15 solve.  S equals `harmonic_signals(...).S` bit for bit.  Warns
-    once, here, when a > 0.5.
+    Fourier system only on the coherence diagonals, so the parameter row of
+    A and b are built once, and each evaluation sets sd in the row,
+    assembles A from `_TABLE` and makes one 15x15 solve.  S
+    equals `harmonic_signals(...).S` bit for bit.  It does not warn when
+    a > 0.5; `make_signal_function` and a sweep's lanes do, once.
 
     `couplings` holds floats for one spectrum, or numpy arrays over lanes
     j (P shared) for many: delta, the width and the power slope are then
     arrays over the lanes, each evaluation is one batched solve, and every
-    lane equals the signal of its own spectrum bit for bit.
+    lane equals the signal of its own spectrum bit for bit.  `step(j,
+    delta)` evaluates lane j alone, so no 15x15 matrix is held per lane.
     """
 
     def __init__(
-        self,
-        atom: AtomParams,
-        couplings: DerivedCouplings,
+        self, atom: AtomParams, couplings: DerivedCouplings,
         modulation: ModulationParams,
     ):
-        if modulation.beyond_recommended_index:
-            warnings.warn(_truncation_warning(modulation), stacklevel=2)
-        self.couplings = couplings
-        self.modulation = modulation
-        self.width = couplings.Gamma_g_tilde
-        self.A0, self.b = _fourier_system(couplings, modulation)
-        self._weights = _lockin_weights(
-            atom, couplings.P, couplings.calV_L, couplings.calV_R
-        )
+        cp = self.couplings = couplings
+        self.modulation, self.width = modulation, cp.Gamma_g_tilde
+        self._params, self.b = _system(couplings, modulation)
+        self._weights = _lockin_weights(atom, cp.P, cp.calV_L, cp.calV_R)
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
-        # c^T x = S cos(alpha) - Q sin(alpha), the in-phase signal
-        pref, dV2, VV = self._weights
-        c = np.zeros(np.shape(dV2) + (15,))
-        c[..., [RG1, RC1, RCm1]] = pref * self._cos * np.stack([dV2, -VV, -VV], -1)
-        c[..., [IG1, IC1, ICm1]] = -pref * self._sin * np.stack([dV2, -VV, VV], -1)
-        self.c = c
+        # (dV2, VV, delta_r, delta_nr) of each lane, as `step` takes them
+        _, dV2, VV = self._weights
+        lanes = (np.ravel(v).tolist() for v in (dV2, VV, cp.delta_r, cp.delta_nr))
+        self._lanes = list(zip(*lanes))
 
     def _amplitudes(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        A = _at_detuning(self.A0, _dressed_detuning(self.couplings, delta))
+        cp, p = self.couplings, self._params
+        p[..., SD] = 2.0 * delta + cp.delta_r + cp.delta_nr
+        A = _fourier_matrix(p)
         return A, _solve(A, self.b, self.width, self.modulation.omega_m)
 
     def __call__(self, delta):
         S, Q = _project(self._weights, self._amplitudes(delta)[1].T)
+        return S * self._cos - Q * self._sin
+
+    def step(self, j: int, delta: float) -> float:
+        """S(delta) of lane j alone: one 15x15 solve, projected in floats."""
+        dV2, VV, dr, dnr = self._lanes[j]
+        p = self._params[j]
+        p[SD] = 2.0 * delta + dr + dnr
+        x = _solve(_fourier_matrix(p), self.b[j], p[GT], p[W])
+        S, Q = _project((self._weights[0], dV2, VV), x.tolist())
         return S * self._cos - Q * self._sin
 
     def power_sensitivity(self, delta0):
@@ -284,56 +269,21 @@ class HarmonicSignal:
         scales (S = 0 at the root).  The implicit-function theorem on
         c^T A^-1 b = 0, with x = A^-1 b and y = A^-T c, gives
         d(delta_0)/ds = y^T (b1 - A1 x - x0 J x) / (2 y^T J x).
-        Divide by E^2 for d(delta_0)/dE^2.  Over lanes, each lane's dot
-        products are its own, so they round as on one spectrum.
+        Divide by E^2 for d(delta_0)/dE^2.  Each lane's dot products are its
+        own and round as on one spectrum, which gives a 0-d array.
         """
         cp = self.couplings
+        # c^T x = S cos(alpha) - Q sin(alpha), the in-phase signal
+        pref, dV2, VV = self._weights
+        c = np.zeros(np.shape(dV2) + (15,))
+        c[..., [RG1, RC1, RCm1]] = pref * self._cos * np.stack([dV2, -VV, -VV], -1)
+        c[..., [IG1, IC1, ICm1]] = -pref * self._sin * np.stack([dV2, -VV, VV], -1)
         A, x = self._amplitudes(delta0)
-        y = _solve(np.swapaxes(A, -1, -2), self.c, self.width, self.modulation.omega_m)
+        y = _solve(np.swapaxes(A, -1, -2), c, self.width, self.modulation.omega_m)
         terms = (cp.V_L + cp.V_R, cp.K, cp.V_LR, cp.V_R, cp.delta_r + cp.delta_nr)
-        if x.ndim == 1:
-            return _power_slope(terms, x, y)
-        lanes = zip(*(t.tolist() for t in terms))
-        return np.array([_power_slope(t, xj, yj) for t, xj, yj in zip(lanes, x, y)])
-
-
-class HarmonicSteps:
-    """In-phase signal S_j(delta) of the harmonic path along a run of steps.
-
-    `couplings` has numpy array fields over the steps j (P is shared), as
-    `core.amplitude_couplings` builds them for a sequence of spectra.  Each
-    call assembles step j's system from `_TABLE` and the step's floats, so
-    no 15x15 matrix is held per step, and makes one 15x15 solve and one
-    projection.  S_j(delta) equals `harmonic_signals(...).S` at step j's
-    spectrum bit for bit.  It does not warn when a > 0.5; the caller's
-    `HarmonicSignal` does, once.
-    """
-
-    def __init__(
-        self,
-        atom: AtomParams,
-        couplings: DerivedCouplings,
-        modulation: ModulationParams,
-    ):
-        c = couplings
-        self._params = np.array(
-            [0.0, 0.0, modulation.a * modulation.omega_m, modulation.omega_m, 0.0]
-        )
-        self._b = _rhs(c)
-        self._gt, self._K, self._dr, self._dnr = (
-            v.tolist() for v in (c.Gamma_g_tilde, c.K, c.delta_r, c.delta_nr)
-        )
-        pairs = zip(c.calV_L.tolist(), c.calV_R.tolist())
-        self._weights = [_lockin_weights(atom, c.P, L, R) for L, R in pairs]
-        self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
-
-    def __call__(self, j: int, delta: float) -> float:
-        p = self._params
-        p[GT], p[K] = self._gt[j], self._K[j]
-        p[SD] = 2.0 * delta + self._dr[j] + self._dnr[j]
-        x = _solve(_fourier_matrix(p), self._b[j], self._gt[j], p[W])
-        S, Q = _project(self._weights[j], x.tolist())
-        return S * self._cos - Q * self._sin
+        lanes = zip(*(np.ravel(t).tolist() for t in terms))
+        slopes = map(_power_slope, lanes, x.reshape(-1, 15), y.reshape(-1, 15))
+        return np.reshape(list(slopes), np.shape(cp.K))
 
 
 def harmonic_signals(
@@ -365,8 +315,8 @@ def _first_order(atom: AtomParams, c: DerivedCouplings, modulation: ModulationPa
     drive = x calV_L calV_R + K (calV_L^2 - calV_R^2) and
     x = 2 delta + delta_r + delta_nr; to first order K enters only through
     the detuning it adds to x.  Returns (g_S, g_Q, calV_L calV_R,
-    K (calV_L^2 - calV_R^2)).  The fields of `c` are floats for one point or
-    numpy arrays over the slabs of a cell.
+    K (calV_L^2 - calV_R^2)).  The fields of `c` are floats or numpy arrays
+    (slabs, and lanes of slabs); every operation is elementwise.
     """
     gt = c.Gamma_g_tilde
     w = modulation.omega_m
@@ -379,20 +329,13 @@ def _first_order(atom: AtomParams, c: DerivedCouplings, modulation: ModulationPa
     return g_S, g_Q, c.calV_L * c.calV_R, c.K * dV2
 
 
-def _reduce(values, how: str):
-    """`how` ("mean", "sum" or "max") over the slabs, or the single value."""
-    if isinstance(values, np.ndarray):
-        return float(getattr(values, how)())
-    return values
-
-
 def _regime_warnings(
     atom: AtomParams, c: DerivedCouplings, modulation: ModulationParams, x
 ) -> tuple[str, ...]:
     """Each regime condition of the closed form once, at its worst slab."""
     gt = c.Gamma_g_tilde
     warns: list[str] = []
-    detuning = _reduce(abs(x) / gt, "max")
+    detuning = float((abs(x) / gt).max())
     if detuning > 0.05:
         warns.append(
             f"|2 delta_tilde| = {detuning:.3g} Gamma_g_tilde exceeds "
@@ -402,7 +345,7 @@ def _regime_warnings(
         warns.append(
             f"(Delta_L/Gamma)^2 = {(atom.Delta_L / atom.Gamma) ** 2:.3g} > 0.1"
         )
-    asymmetry = _reduce((c.K / gt) ** 2, "max")
+    asymmetry = float(((c.K / gt) ** 2).max())
     if asymmetry > 0.1:
         warns.append(f"K^2/Gamma_g_tilde^2 = {asymmetry:.3g} > 0.1")
     if modulation.beyond_recommended_index:
@@ -413,12 +356,15 @@ def _regime_warnings(
 class ClosedFormSignal:
     """In-phase signal of the first-order closed form, affine in delta.
 
-    `couplings` holds floats for one point (the linearized path) or numpy
-    arrays over the slabs of a cell (`thick.cell_signal`); `width` is
-    Gamma_g_tilde at the point or at the cell entrance.  Every slab signal
-    is g_i (2 delta VV_i + x0_i VV_i + K_i dV2_i), with g_i the gain at the
-    detection phase and x0_i the slab's static shift; the gains and the
-    slope sum_i g_i VV_i are formed once, here.
+    `couplings` holds numpy arrays with the slabs of a cell along the last
+    axis, and lanes (one spectrum each) before it if there are several;
+    `thick.cell_signal` builds them, and a thin point is a cell of one
+    slab.  `width` is Gamma_g_tilde at the cell entrance, per lane.  Every
+    slab signal is g_i (2 delta VV_i + x0_i VV_i + K_i dV2_i), with g_i the
+    gain at the detection phase and x0_i the slab's static shift; the gains
+    and the slope sum_i g_i VV_i are formed once, here.  `crossing` and
+    `power_sensitivity` take every lane at once; `signals` and calls take
+    one spectrum.
     """
 
     def __init__(
@@ -426,14 +372,16 @@ class ClosedFormSignal:
         atom: AtomParams,
         couplings: DerivedCouplings,
         modulation: ModulationParams,
-        width: float,
+        width,
     ):
         self.atom, self.couplings, self.modulation = atom, couplings, modulation
         self.width = width
         self._gains = g_S, g_Q, VV, _ = _first_order(atom, couplings, modulation)
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
         self._g = g_S * self._cos - g_Q * self._sin
-        self._slope = _reduce(self._g * VV, "sum")
+        slope = (self._g * VV).sum(-1)
+        # a lane without slope has no crossing: NaN, which divides silently
+        self._slope = np.where(slope == 0.0, math.nan, slope)
 
     def signals(self, delta: float) -> LockInResult:
         """Lock-in signals at `delta`, averaged over the slabs."""
@@ -442,15 +390,15 @@ class ClosedFormSignal:
         x = 2.0 * delta + c.delta_r + c.delta_nr
         drive = x * VV + K_term
         return LockInResult(
-            S=_reduce(g_S * drive, "mean"),
-            Q=_reduce(g_Q * drive, "mean"),
+            S=float((g_S * drive).mean(-1)),
+            Q=float((g_Q * drive).mean(-1)),
             warnings=_regime_warnings(self.atom, c, self.modulation, x),
         ).at_phase(self.modulation.alpha)
 
     def __call__(self, delta: float) -> float:
         return self.signals(delta).S
 
-    def crossing(self) -> float:
+    def crossing(self):
         """Detuning where the in-phase signal vanishes, with no root finder.
 
         The averaged signal crosses zero at 2 delta =
@@ -458,13 +406,11 @@ class ClosedFormSignal:
         and asymmetric spectra alike.  NaN when the slope vanishes (a = 0,
         or a resonant sideband absent).
         """
-        if self._slope == 0.0:
-            return math.nan
         _, _, VV, K_term = self._gains
         x0 = self.couplings.delta_r + self.couplings.delta_nr
-        return -_reduce(self._g * (x0 * VV + K_term), "sum") / (2.0 * self._slope)
+        return -(self._g * (x0 * VV + K_term)).sum(-1) / (2.0 * self._slope)
 
-    def power_sensitivity(self, delta0: float) -> float:
+    def power_sensitivity(self, delta0):
         """d(delta_0)/ds at the crossing delta0, for E^2 -> s E^2.
 
         With the slab attenuation held fixed, g_i = s h(Gamma_g_tilde_i) with
@@ -472,7 +418,7 @@ class ClosedFormSignal:
         x0_i VV_i + K_term_i as s^2.  The implicit-function theorem on
         sum_i g_i drive_i = 0, drive_i = (2 delta + x0_i) VV_i + K_term_i,
         gives delta0 - sum_i g'_i (V_L + V_R)_i drive_i / (2 sum_i g_i VV_i),
-        with g' = dg/dGamma_g_tilde.  On one point the drive is 0 at the root.
+        with g' = dg/dGamma_g_tilde.  On one slab the drive is 0 at the root.
         """
         c = self.couplings
         g_S, g_Q, VV, K_term = self._gains
@@ -481,8 +427,8 @@ class ClosedFormSignal:
         dg = g_S * (1.0 / gt + d_log) * self._cos - g_Q * self._sin * (
             6.0 * gt / (3.0 * gt * gt + w2) - 2.0 / gt + d_log
         )
-        drive = (2.0 * delta0 + c.delta_r + c.delta_nr) * VV + K_term
-        shift = _reduce(dg * (c.V_L + c.V_R) * drive, "sum")
+        x = 2.0 * np.expand_dims(delta0, -1) + c.delta_r + c.delta_nr
+        shift = (dg * (c.V_L + c.V_R) * (x * VV + K_term)).sum(-1)
         return delta0 - shift / (2.0 * self._slope)
 
 
@@ -502,8 +448,9 @@ def linearized_signals(
     outside the regime: |2 delta_tilde| > 0.05 Gamma_g_tilde,
     (Delta_L/Gamma)^2 > 0.1, K^2/Gamma_g_tilde^2 > 0.1, or a > 0.5.
     """
-    c = derive_couplings(atom, spectrum)
-    return ClosedFormSignal(atom, c, modulation, c.Gamma_g_tilde).signals(delta)
+    from .thick import averaged_signal  # thick builds on this module
+
+    return averaged_signal(atom, spectrum, modulation, None, delta)
 
 
 @dataclass(frozen=True)

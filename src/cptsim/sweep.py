@@ -13,14 +13,18 @@ order the asymmetry shift delta_as cancels the resonant light shift
 delta_r, so the split from asymmetry comes from higher orders in the
 modulation index and the power, which the harmonic path keeps.
 `find_ips_and_pzds` maps both root families over an m-grid with sign-change
-isolation checks; `servo_lock_experiment` reproduces the experimental
-detection of IPs by locking a servo to the zero crossing while the light
-intensity is harmonically modulated and the RF power is slowly ramped.
+isolation checks; on the harmonic, linearized and thick paths the depths of
+a grid round are the lanes of one signal, and only a lane without a clean
+bracket, or a time-domain sweep, is solved point by point.
+`servo_lock_experiment` reproduces the experimental detection of IPs by
+locking a servo to the zero crossing while the light intensity is
+harmonically modulated and the RF power is slowly ramped.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
@@ -46,7 +50,7 @@ from .core import (
 from .harmonic import (  # noqa: F401
     ClosedFormSignal,
     HarmonicSignal,
-    HarmonicSteps,
+    _truncation_warning,
     asymmetry_shift,
     harmonic_signals,
     linearized_signals,
@@ -239,17 +243,30 @@ def make_signal_function(
     `crossing()` is closed-form; the harmonic Fourier system is assembled
     here, and each evaluation is one solve.
     """
-    if path == "thick" and cell is None:
-        raise ParameterError("thick signal path requires cell parameters")
     c = derive_couplings(atom, spectrum)
     if path == "time-domain":
         return TimeDomainSignal(atom, spectrum, modulation, c.Gamma_g_tilde)
+    return _couplings_signal(
+        atom, c, spectrum.Omega, modulation, path, cell, allow_asymmetric
+    )
+
+
+def _couplings_signal(
+    atom: AtomParams, c: DerivedCouplings, Omega: float, modulation: ModulationParams,
+    path: SignalPath, cell: CellParams | None, allow_asymmetric: bool,
+) -> HarmonicSignal | ClosedFormSignal:
+    """`make_signal_function` on every path but the time domain, from the
+    couplings c: floats for one spectrum, or arrays over lanes for many."""
     if path == "harmonic":
+        if modulation.beyond_recommended_index:
+            warnings.warn(_truncation_warning(modulation), stacklevel=2)
         return HarmonicSignal(atom, c, modulation)
     if path == "linearized":
-        return ClosedFormSignal(atom, c, modulation, c.Gamma_g_tilde)
+        return cell_signal(atom, c, Omega, modulation, None)
     if path == "thick":
-        return cell_signal(atom, spectrum, c, modulation, cell, allow_asymmetric)
+        if cell is None:
+            raise ParameterError("thick signal path requires cell parameters")
+        return cell_signal(atom, c, Omega, modulation, cell, allow_asymmetric)
     raise ParameterError(f"unknown signal path {path!r}")
 
 
@@ -293,7 +310,7 @@ def zero_crossing(
         # whose sign Brent's method would follow to a spurious crossing
         raise ParameterError(no_slope)
     if isinstance(signal, ClosedFormSignal):
-        root = signal.crossing()
+        root = float(signal.crossing())
         if lo <= root <= hi:
             return root
         # outside the bracket (or no slope): the endpoint checks below report it
@@ -340,7 +357,7 @@ def crossing_and_sensitivity(
     delta0 = zero_crossing(
         atom, spectrum, modulation, xtol=SWEEP_XTOL * signal.width, signal=signal
     )
-    return delta0, signal.power_sensitivity(delta0) / spectrum.total_power
+    return delta0, float(signal.power_sensitivity(delta0)) / spectrum.total_power
 
 
 @dataclass(frozen=True)
@@ -374,30 +391,48 @@ class BesselFamily:
         return amplitude_couplings(atom, dict(zip(ks, amplitudes)), self.Omega)
 
 
-def _lockstep_pairs(
-    atom: AtomParams,
-    modulation: ModulationParams,
-    family: BesselFamily,
-    ms: list[float],
+def _lane_pairs(
+    atom: AtomParams, modulation: ModulationParams, family: BesselFamily,
+    ms: list[float], path: SignalPath, cell: CellParams | None,
+    allow_asymmetric: bool,
 ) -> dict[float, tuple[float, float, float]]:
-    """(delta_0, dDelta0_dE2, E^2) of family(m) on the harmonic path for
-    every m, as lanes of one `HarmonicSignal`: each round of the lockstep
-    Brent is one batched solve.  Each lane's arithmetic is that of
-    `crossing_and_sensitivity` on family(m), E^2 the math.fsum of
-    `FieldSpectrum.total_power`, so every pair equals it bit for bit.
-    Unless every lane's bracket ends have strictly opposite signs (else an
-    error or a root at an end), it returns nothing: each m is then solved
-    on its own."""
-    if modulation.a == 0.0:
+    """(delta_0, dDelta0_dE2, E^2) of family(m), for every m of `ms` whose
+    crossing has a clean bracket, as lanes of one signal.
+
+    The couplings of every m come from one `BesselFamily.couplings` pass;
+    the affine paths solve every crossing in closed form, and each round of
+    the harmonic lockstep Brent is one batched solve.  Each lane's
+    arithmetic is that of `crossing_and_sensitivity` on family(m), E^2 the
+    math.fsum of `FieldSpectrum.total_power`, so every pair equals it bit
+    for bit.  A bracket +-Gamma_g_tilde is clean if the closed-form root
+    lies in it or the harmonic signal has strictly opposite signs at its
+    ends.  Other lanes (an error, a flat signal such as every lane at a = 0,
+    a root at an end) are left to `pair_at`, and so is every lane when the
+    signal cannot be built (an invalid family or cell).
+    """
+    if not ms:
         return {}
-    amps = family.amplitudes(np.array(ms))
-    signal = HarmonicSignal(atom, family.couplings(atom, amps), modulation)
+    try:
+        amps = family.amplitudes(np.array(ms))
+        signal = _couplings_signal(
+            atom, family.couplings(atom, amps), family.Omega, modulation,
+            path, cell, allow_asymmetric,
+        )
+    except ParameterError:
+        return {}
     gt = signal.width
-    S_lo, S_hi = signal(-gt), signal(gt)
-    if not np.all(np.sign(S_lo) * np.sign(S_hi) == -1.0):
-        return {}
-    brackets = zip(*(v.tolist() for v in (-gt, gt, SWEEP_XTOL * gt, S_lo, S_hi)))
-    roots = _brent_lockstep(signal, brackets)
+    if isinstance(signal, ClosedFormSignal):
+        roots = signal.crossing()
+        clean = (-gt <= roots) & (roots <= gt)
+    else:
+        S_lo, S_hi = signal(-gt), signal(gt)
+        clean = np.sign(S_lo) * np.sign(S_hi) == -1.0
+    if not clean.all():  # solve the clean lanes on their own
+        kept = [m for m, ok in zip(ms, clean.tolist()) if ok]
+        return _lane_pairs(atom, modulation, family, kept, path, cell, allow_asymmetric)
+    if not isinstance(signal, ClosedFormSignal):
+        brackets = (-gt, gt, SWEEP_XTOL * gt, S_lo, S_hi)
+        roots = _brent_lockstep(signal, zip(*(v.tolist() for v in brackets)))
     powers = _fsum_columns(amps * amps)
     slopes = signal.power_sensitivity(roots) / powers
     return dict(zip(ms, zip(roots.tolist(), slopes.tolist(), powers.tolist())))
@@ -482,19 +517,22 @@ def find_ips_and_pzds(
     bracketed root finding in m.  The grid is checked for isolation by
     midpoint densification: if either root count changes, the densified
     grid is adopted (up to MAX_REFINE times).  `family` and the pair are
-    computed once per distinct m; on the harmonic path with a
-    `BesselFamily`, the new m of each grid round in batches of at most
-    MAX_LANES (`_lockstep_pairs`).  A BracketError or ParameterError names
-    the m at which it occurred, the smallest failing m of its round.
+    computed once per distinct m; with a `BesselFamily` on every path but
+    the time domain, the new m of each grid round as lanes of one signal,
+    in batches of at most MAX_LANES (`_lane_pairs`).  Only lanes without a
+    clean bracket and the m-root refinement are solved per point.  A
+    BracketError or ParameterError names the m at which it occurred, the
+    smallest failing m of its round.
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
         raise ParameterError("m_grid needs at least 3 points")
+    require_finite("find_ips_and_pzds", **{f"m_grid[{i}]": m for i, m in enumerate(ms)})
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ParameterError("m_grid must be strictly increasing")
 
     pairs: dict[float, tuple[float, float, float]] = {}
-    lockstep = path == "harmonic" and isinstance(family, BesselFamily)
+    lanes = isinstance(family, BesselFamily) and path != "time-domain"
 
     def pair_at(m: float) -> tuple[float, float, float]:
         """(delta_0, dDelta0_dE2, E^2) at m; an error is re-raised naming m."""
@@ -509,14 +547,12 @@ def find_ips_and_pzds(
         return pairs[m]
 
     def sign_changes(grid: list[float], which: int) -> list[int]:
-        new = [m for m in grid if m not in pairs] if lockstep else []
+        new = [m for m in grid if m not in pairs] if lanes else []
         for start in range(0, len(new), MAX_LANES):
-            try:
-                pairs.update(_lockstep_pairs(
-                    atom, modulation, family, new[start : start + MAX_LANES]
-                ))
-            except ParameterError:
-                pass  # an invalid depth or family: pair_at raises it naming the m
+            pairs.update(_lane_pairs(
+                atom, modulation, family, new[start : start + MAX_LANES],
+                path, cell, allow_asymmetric,
+            ))
         return _sign_change_intervals([pair_at(m)[which] for m in grid])
 
     for _ in range(MAX_REFINE):
@@ -708,9 +744,9 @@ def servo_lock_experiment(
     `family` is a `bessel_family`.  Step j's spectrum is family(m_j) scaled
     by intensity_j, and every step's couplings are built up front in one
     numpy pass (`BesselFamily.amplitudes` and `couplings`), so memory grows
-    with n_steps.  Only delta is stepped in Python, by one `HarmonicSteps`
-    solve per step; the trace equals that of calling `harmonic_signals` on
-    each step's spectrum, bit for bit.
+    with n_steps.  Only delta is stepped in Python, by one
+    `HarmonicSignal.step` solve per step; the trace equals that of calling
+    `harmonic_signals` on each step's spectrum, bit for bit.
     """
     if not isinstance(family, BesselFamily):
         raise ParameterError(
@@ -728,7 +764,7 @@ def servo_lock_experiment(
     phases = 2.0 * math.pi * np.arange(n) / scenario.intensity_period_steps
     intensity = 1.0 + scenario.intensity_depth * np.sin(phases)
     amps = family.amplitudes(ms) * np.sqrt(intensity)
-    step_signal = HarmonicSteps(atom, family.couplings(atom, amps), modulation)
+    steps = HarmonicSignal(atom, family.couplings(atom, amps), modulation)
     deltas = np.empty(n)
     lost_at: int | None = None
     for j in range(n):
@@ -736,7 +772,7 @@ def servo_lock_experiment(
         if abs(delta) > capture:
             lost_at = j
             break
-        S = step_signal(j, delta)
+        S = steps.step(j, delta)
         delta = delta - scenario.gain * S / (2.0 * ref.A)
     return _servo_trace(
         ms, intensity, deltas, lost_at, scenario.intensity_period_steps

@@ -12,13 +12,16 @@ The slab-local signal is the closed-form linearized one; the cell integral
 is a composite midpoint sum over `n_slabs` slabs (the default count is
 convergence-checked: doubling it moves the averaged signal by well under
 0.1% in the regimes of interest).  `cell_signal` builds the couplings of
-every slab at once as numpy arrays over z, and `harmonic.ClosedFormSignal`
-evaluates them in one pass; no slab is visited in Python.
+every slab at once, as numpy arrays over z, from the entrance couplings of
+one spectrum or of many (the lanes of a sweep grid), and
+`harmonic.ClosedFormSignal` evaluates them in one pass; no slab is visited
+in Python.  A thin point is a cell of one transparent slab, so the
+linearized path is built by the same constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +32,8 @@ from .core import (
     LockInResult,
     ModulationParams,
     ParameterError,
+    _nonresonant_terms,
     derive_couplings,
-    nonresonant_shift_components,
     require_finite,
     require_integer,
 )
@@ -71,42 +74,53 @@ class CellParams:
             raise ParameterError(f"n_slabs must be >= 8, got {self.n_slabs}")
 
 
+# A thin point: a transparent cell, one slab holding the couplings exactly.
+_THIN = CellParams(length=1.0)
+
+
 def cell_signal(
     atom: AtomParams,
-    spectrum: FieldSpectrum,
-    c: DerivedCouplings,
+    couplings: DerivedCouplings,
+    Omega: float,
     modulation: ModulationParams,
-    cell: CellParams,
+    cell: CellParams | None,
     allow_asymmetric: bool = False,
 ) -> ClosedFormSignal:
     """In-phase signal averaged over the slabs of the cell.
 
-    `spectrum` is the field at the cell entrance and `c` its
-    `derive_couplings`; the signal's width is the entrance Gamma_g_tilde.
-    The slab couplings are taken at the slab midpoints
-    z_i = (i + 1/2) length/n_slabs, and every one except P is a numpy array
-    over the slabs, built from `c` at once.  Only the resonant pair is
-    attenuated, by t = e^{-beta z} in power, so V_L, V_R, V_LR, K and
-    delta_r scale with t, calV_L and calV_R with sqrt(t),
+    `couplings` are the `derive_couplings` of the field at the cell
+    entrance, floats for one spectrum or numpy arrays over lanes (P
+    shared), and Omega its sideband spacing; the signal's width is the
+    entrance Gamma_g_tilde.  The slab couplings are taken at the slab
+    midpoints z_i = (i + 1/2) length/n_slabs, on a new last axis; every
+    one except P is a numpy array, built from `couplings` at once.  Only
+    the resonant pair is attenuated, by t = e^{-beta z} in power, so V_L,
+    V_R, V_LR, K and delta_r scale with t, calV_L and calV_R with sqrt(t),
     Gamma_g_tilde = Gamma_g + t (V_L + V_R), and delta_nr keeps its
-    non-resonant part plus t times the resonant pair's share.  A transparent
-    cell is a single slab holding the entrance values exactly.
+    non-resonant part plus t times the resonant pair's share.  A
+    transparent cell is a single slab holding the entrance values exactly,
+    and so is a thin point (`cell` None), which takes any spectrum.
 
     The z-average is derived for symmetric resonant sidebands; pass
     `allow_asymmetric=True` to average asymmetric spectra anyway (an
     extension beyond the symmetric treatment).
     """
-    EL, ER = spectrum.amplitude(-1), spectrum.amplitude(+1)
-    if not allow_asymmetric and abs(EL - ER) > 1e-12 * max(EL, ER):
+    EL, ER = couplings.calV_L, couplings.calV_R
+    if cell is None:
+        cell, allow_asymmetric = _THIN, True
+    if not allow_asymmetric and np.any(abs(EL - ER) > 1e-12 * np.maximum(EL, ER)):
         raise ParameterError(
             "the thick-cell average requires symmetric resonant sidebands "
             f"(E_-1 = {EL}, E_+1 = {ER})"
         )
+    c = replace(couplings, **{  # the slabs of every lane go on a new last axis
+        k: np.expand_dims(v, -1) for k, v in vars(couplings).items() if k != "P"
+    })
     n = cell.n_slabs if cell.beta > 0.0 else 1
     t = np.exp(-cell.beta * ((np.arange(n) + 0.5) * (cell.length / n)))
     loss = 1.0 - t  # written as a loss so that t = 1 reproduces c exactly
     root = np.sqrt(t)
-    shares = nonresonant_shift_components(atom, spectrum)
+    shares = _nonresonant_terms(atom, {-1: c.calV_L, 1: c.calV_R}, Omega)
     slabs = DerivedCouplings(
         V_L=t * c.V_L,
         V_R=t * c.V_R,
@@ -119,22 +133,23 @@ def cell_signal(
         calV_L=root * c.calV_L,
         calV_R=root * c.calV_R,
     )
-    return ClosedFormSignal(atom, slabs, modulation, c.Gamma_g_tilde)
+    return ClosedFormSignal(atom, slabs, modulation, couplings.Gamma_g_tilde)
 
 
 def averaged_signal(
     atom: AtomParams,
     spectrum: FieldSpectrum,
     modulation: ModulationParams,
-    cell: CellParams,
+    cell: CellParams | None,
     delta: float,
     allow_asymmetric: bool = False,
 ) -> LockInResult:
     """Cell-averaged linearized lock-in signal at detuning `delta`.
 
-    `spectrum` is the field at the cell entrance.  Each regime warning of
-    the linearized form is reported once, at its worst slab.
+    `spectrum` is the field at the cell entrance (`cell` None: a thin
+    point).  Each regime warning of the linearized form is reported once,
+    at its worst slab.
     """
     c = derive_couplings(atom, spectrum)
-    signal = cell_signal(atom, spectrum, c, modulation, cell, allow_asymmetric)
+    signal = cell_signal(atom, c, spectrum.Omega, modulation, cell, allow_asymmetric)
     return signal.signals(delta)

@@ -41,6 +41,9 @@ __all__ = [
 # Periods in an integrated trace: `lockin` needs at least 4, and on the
 # periodic orbit more periods change nothing but rounding.
 TRACE_PERIODS = 4
+# Most RK4 steps whose maps and prefix products are held at once; a longer
+# period is integrated chunk by chunk, which bounds the working memory.
+CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -62,14 +65,21 @@ class TimeTrace:
 
 
 def _rk4_step_maps(
-    c: DerivedCouplings, omega_m: float, x0: float, x1: float, h: float, spp: int
+    c: DerivedCouplings,
+    omega_m: float,
+    x0: float,
+    x1: float,
+    h: float,
+    start: int,
+    stop: int,
 ) -> np.ndarray:
-    """RK4 step maps of one period on y = (rho22, Re rho21, Im rho21, 1).
+    """RK4 step maps of steps start ... stop - 1 on y = (rho22, Re rho21,
+    Im rho21, 1).
 
     The equations are y' = A(t) y with A(t) = A0 + x(t) B and the dressed
     detuning x(t) = x0 + x1 cos(omega_m t).  Step n maps y(t_n) to
     y(t_n + h), t_n = n h, with A taken at t_n, t_n + h/2 and t_n + h.
-    Returns the `spp` maps as an (spp, 4, 4) array.
+    Returns the maps as a (stop - start, 4, 4) array.
     """
     gt, K = c.Gamma_g_tilde, c.K
     Gg = gt - c.V_L - c.V_R
@@ -79,7 +89,7 @@ def _rk4_step_maps(
         [-2.0 * K, 0.0, -gt, K],
         [0.0, 0.0, 0.0, 0.0],
     ])
-    x = x0 + x1 * np.cos(omega_m * (0.5 * h) * np.arange(2 * spp + 1))
+    x = x0 + x1 * np.cos(omega_m * (0.5 * h) * np.arange(2 * start, 2 * stop + 1))
     A = np.repeat(A0[None], x.size, axis=0)
     A[:, 1, 2] = -x
     A[:, 2, 1] = x
@@ -122,22 +132,42 @@ def integrate_ground_state(
     map acts on (rho22, Re rho21, Im rho21, 1).  The step obeys
     dt <= (2 pi / omega_m)/200 and dt <= 0.02/Gamma_g_tilde.  Returns
     TRACE_PERIODS periods of the orbit (endpoint included), starting at t = 0.
+
+    The maps of a period are built and scanned CHUNK_STEPS at a time: once
+    to carry the running product to the period map, then again to step the
+    orbit from each chunk's first state.  A period of one chunk is built
+    once, and its orbit is that of a single scan.
     """
     c = derive_couplings(atom, spectrum)
     wm = modulation.omega_m
     spp = max(200, math.ceil(2.0 * math.pi / wm * c.Gamma_g_tilde / 0.02))
     h = 2.0 * math.pi / wm / spp
 
-    maps = _rk4_step_maps(
-        c, wm, 2.0 * delta + c.delta_r + c.delta_nr, 2.0 * modulation.a * wm, h, spp
-    )
-    P = _prefix_products(maps)
-    # y(0) = P[-1] y(0): a 3x3 solve for the periodic orbit
-    y0 = np.linalg.solve(np.eye(3) - P[-1, :3, :3], P[-1, :3, 3])
-    period = np.empty((spp, 3))
-    period[0] = y0
-    period[1:] = P[:-1, :3, :3] @ y0 + P[:-1, :3, 3]
-    rho22, re21, im21 = np.vstack([np.tile(period, (TRACE_PERIODS, 1)), y0]).T
+    x0, x1 = 2.0 * delta + c.delta_r + c.delta_nr, 2.0 * modulation.a * wm
+    starts = range(0, spp, CHUNK_STEPS)
+
+    def products(start: int) -> np.ndarray:
+        stop = min(start + CHUNK_STEPS, spp)
+        return _prefix_products(_rk4_step_maps(c, wm, x0, x1, h, start, stop))
+
+    first = products(0)
+    M = first[-1]
+    for start in starts[1:]:
+        M = products(start)[-1] @ M
+    # y(0) = M y(0), M the map of one period: a 3x3 solve for the periodic orbit
+    y0 = np.linalg.solve(np.eye(3) - M[:3, :3], M[:3, 3])
+    orbit = np.empty((TRACE_PERIODS * spp + 1, 3))
+    orbit[0] = y0
+    for start in starts:
+        # P[n] maps the chunk's first state to the state after step start + n;
+        # the period's last step returns to y0
+        P = (first if start == 0 else products(start))[: spp - 1 - start]
+        rows = slice(start + 1, start + 1 + len(P))
+        orbit[rows] = P[:, :3, :3] @ orbit[start] + P[:, :3, 3]
+    for k in range(1, TRACE_PERIODS):
+        orbit[k * spp : (k + 1) * spp] = orbit[:spp]
+    orbit[-1] = y0
+    rho22, re21, im21 = orbit.T
 
     times = np.arange(TRACE_PERIODS * spp + 1) * h
     rho11 = 1.0 - rho22

@@ -157,12 +157,16 @@ def reference_servo_trace(atom, modulation, family, scenario):
     )
 
 
-def reference_ips_and_pzds(atom, modulation, family, m_grid, path="harmonic"):
+def reference_ips_and_pzds(
+    atom, modulation, family, m_grid, path="harmonic", cell=None,
+    allow_asymmetric=True,
+):
     """`find_ips_and_pzds` with every pair solved per point.
 
     Each distinct m gets its own spectrum and `crossing_and_sensitivity`, in
-    the order the grid rounds ask for them; the lockstep grid of the
-    harmonic path must reproduce this result, and its errors, exactly.
+    the order the grid rounds ask for them; the lanes of the harmonic,
+    linearized and thick paths must reproduce this result, and its errors,
+    exactly.
     """
     ms = [float(m) for m in m_grid]
     pairs = {}
@@ -172,7 +176,7 @@ def reference_ips_and_pzds(atom, modulation, family, m_grid, path="harmonic"):
             spectrum = family(m)
             try:
                 pairs[m] = crossing_and_sensitivity(
-                    atom, spectrum, modulation, path, allow_asymmetric=True
+                    atom, spectrum, modulation, path, cell, allow_asymmetric
                 ) + (spectrum.total_power,)
             except (BracketError, ParameterError) as exc:
                 raise type(exc)(f"at m = {m:.12g}, {exc}") from exc

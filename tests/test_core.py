@@ -26,6 +26,7 @@ from cptsim import (
     LockInResult,
     ModulationParams,
     ParameterError,
+    bessel_family,
     bessel_spectrum,
     derive_couplings,
     nonresonant_shift_components,
@@ -112,6 +113,17 @@ class TestBesselAmplitudes:
     def test_rejects_a_negative_depth_in_the_array(self):
         with pytest.raises(ParameterError, match="m must be >= 0, got -0.1"):
             bessel_amplitudes(np.array([2.0, -0.1, 3.0]), 0.0, 5, POWER)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_depth_by_value(self, bad):
+        # NaN compares False, so the >= 0 check alone would let it through
+        match = f"modulation depth m must be finite, got {bad}$"
+        with pytest.raises(ParameterError, match=match):
+            bessel_amplitudes(bad, 0.0, 5, POWER)
+        with pytest.raises(ParameterError, match=match):
+            bessel_amplitudes(np.array([2.0, bad, 3.0]), 0.0, 5, POWER)
+        with pytest.raises(ParameterError, match=match):
+            bessel_family(0.0, 5, POWER, OMEGA).amplitudes(np.array([bad, 2.0]))
 
 
 class TestFieldSpectrum:

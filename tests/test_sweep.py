@@ -1,6 +1,5 @@
 """Zero crossings, IP/PZD mapping, symmetrizing detuning, servo emulation."""
 
-import dataclasses
 import math
 import os
 import random
@@ -237,7 +236,7 @@ class TestCrossingAndSensitivity:
 
     @pytest.mark.parametrize(
         "path, derived, slab_builds",
-        [("harmonic", 1, 0), ("linearized", 1, 0), ("thick", 1, 1)],
+        [("harmonic", 1, 0), ("linearized", 1, 1), ("thick", 1, 1)],
     )
     def test_couplings_built_once_per_call(
         self, atom, path, derived, slab_builds, monkeypatch
@@ -366,22 +365,28 @@ class TestFindIpsAndPzds:
 
     def test_bracket_error_names_m(self, atom, monkeypatch):
         # narrow the nominal crossing bracket (+-Gamma_g_tilde) to 1e-6 of
-        # its width, so the sweep fails at its first point
+        # its width, on the lanes and on the per-point crossings alike, so
+        # the sweep fails at its first point
         family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        real = sweep._couplings_signal
+        lanes = []
 
-        def narrow(atom, spectrum):
-            c = derive_couplings(atom, spectrum)
-            return dataclasses.replace(c, Gamma_g_tilde=1e-6 * c.Gamma_g_tilde)
+        def narrow(atom, c, *args):
+            signal = real(atom, c, *args)
+            signal.width = 1e-6 * signal.width
+            lanes.append(np.size(c.K))
+            return signal
 
-        monkeypatch.setattr(sweep, "derive_couplings", narrow)
+        monkeypatch.setattr(sweep, "_couplings_signal", narrow)
         with pytest.raises(BracketError) as info:
             find_ips_and_pzds(atom, mod, family, [2.0, 2.4, 2.8], path="linearized")
         msg = str(info.value)
         assert msg.startswith("at m = 2, no crossing in bracket")
         assert re.search(r"S\(lo\) = \S+, S\(hi\) = \S+$", msg)
         assert isinstance(info.value.__cause__, BracketError)
+        assert lanes == [3, 1]  # the batch of three m, then m = 2 alone
 
     def test_parameter_error_names_m(self, atom):
         # m = 0 leaves the resonant pair empty (J_1(0) = 0): S has no slope
@@ -414,31 +419,71 @@ class TestFindIpsAndPzds:
         with pytest.raises(ParameterError, match="strictly increasing"):
             find_ips_and_pzds(atom, mod, family, [2.0, 2.0, 2.8])
 
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "time-domain"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_entry_rejected_before_solving(self, atom, path, bad):
+        # NaN passes the strictly-increasing check, since it compares False
+        family = bessel_family(epsilon=0.0, k_max=5, total_power=POWER, Omega=OMEGA)
+        asked = []
+
+        def counted(m):
+            asked.append(m)
+            return family(m)
+
+        for grid in ([bad, 2.0, 2.4], [2.0, 2.4, bad]):
+            with pytest.raises(ParameterError, match=f"must be finite, got {bad}$"):
+                find_ips_and_pzds(atom, make_modulation(), counted, grid, path)
+            with pytest.raises(ParameterError, match=f"must be finite, got {bad}$"):
+                find_ips_and_pzds(atom, make_modulation(), family, grid, path)
+        assert asked == []
+
+
+# The paths whose grid crossings `find_ips_and_pzds` solves as lanes of one
+# signal: the harmonic one, the thin closed form, and transparent and
+# absorbing cells (beta * length 0 and 0.43).
+LANE_PATHS = {
+    "harmonic": ("harmonic", None),
+    "linearized": ("linearized", None),
+    "thick-0": ("thick", CellParams(0.02, 0.0)),
+    "thick-0.43": ("thick", CellParams(0.02, 0.43 / 0.02)),
+}
+
+
+@pytest.fixture(params=list(LANE_PATHS))
+def lane_path(request):
+    return LANE_PATHS[request.param]
+
 
 class TestLockstepGrid:
-    """The harmonic grid crossings of `find_ips_and_pzds`, solved in lockstep,
-    against the per-point loop of `reference_ips_and_pzds`."""
+    """The grid crossings of `find_ips_and_pzds`, solved as lanes, against
+    the per-point loop of `reference_ips_and_pzds`."""
 
     @staticmethod
-    def sweep_and_reference(atom, mod, family, grid):
-        res = find_ips_and_pzds(atom, mod, family, grid)
-        ref = reference_ips_and_pzds(atom, mod, family, grid)
+    def sweep_and_reference(atom, mod, family, grid, path="harmonic", cell=None):
+        res = find_ips_and_pzds(atom, mod, family, grid, path, cell)
+        ref = reference_ips_and_pzds(atom, mod, family, grid, path, cell)
         assert res == ref
         return res
 
     @pytest.mark.parametrize("alpha", [0.0, 0.6])
     @pytest.mark.parametrize("epsilon", [0.0, 0.2])
-    def test_records_and_roots_equal_per_point_loop(self, atom, epsilon, alpha):
-        # alpha = 0.6 at omega_m = Gamma_g_tilde has three roots in +-Gamma_g_tilde
-        # at every m: the batch must take the root the per-point crossing takes
+    def test_records_and_roots_equal_per_point_loop(
+        self, atom, epsilon, alpha, lane_path
+    ):
+        # alpha = 0.6 at omega_m = Gamma_g_tilde has three harmonic roots in
+        # +-Gamma_g_tilde at every m: the batch must take the root the
+        # per-point crossing takes
+        path, cell = lane_path
         family = bessel_family(epsilon, 5, POWER, OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=gt, alpha=alpha)
-        res = self.sweep_and_reference(atom, mod, family, np.linspace(2.0, 2.8, 9))
+        res = self.sweep_and_reference(
+            atom, mod, family, np.linspace(2.0, 2.8, 9), path, cell
+        )
         assert len(res.records) >= 17 and res.ip_roots
         for r in res.records:
             spec = family(r.m)
-            pair = crossing_and_sensitivity(atom, spec, mod)
+            pair = crossing_and_sensitivity(atom, spec, mod, path, cell, True)
             assert (r.delta0, r.dDelta0_dE2, r.E2) == pair + (spec.total_power,)
 
     def test_large_index_warns_and_equals_per_point_loop(self, atom):
@@ -452,26 +497,29 @@ class TestLockstepGrid:
             self.sweep_and_reference(atom, mod, family, np.linspace(2.0, 2.8, 5))
 
     @staticmethod
-    def assert_same_error(atom, mod, family, grid, kind):
+    def assert_same_error(atom, mod, family, grid, kind, path="harmonic", cell=None,
+                          allow_asymmetric=True):
         with pytest.raises(kind) as info:
-            find_ips_and_pzds(atom, mod, family, grid)
+            find_ips_and_pzds(atom, mod, family, grid, path, cell, allow_asymmetric)
         with pytest.raises(kind) as ref:
-            reference_ips_and_pzds(atom, mod, family, grid)
+            reference_ips_and_pzds(
+                atom, mod, family, grid, path, cell, allow_asymmetric
+            )
         assert str(info.value) == str(ref.value)
         assert isinstance(info.value.__cause__, kind)
         return str(info.value)
 
-    def test_flat_signal_names_the_same_m(self, atom):
+    def test_flat_signal_names_the_same_m(self, atom, lane_path):
         family = bessel_family(0.0, 5, POWER, OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         msg = self.assert_same_error(
             atom, make_modulation(a=0.0, omega_m=0.5 * gt), family,
-            [2.0, 2.4, 2.8], ParameterError,
+            [2.0, 2.4, 2.8], ParameterError, *lane_path,
         )
         assert msg.startswith("at m = 2, the in-phase signal has no slope")
         msg = self.assert_same_error(
             atom, make_modulation(a=0.2, omega_m=0.5 * gt), family,
-            [0.0, 0.5, 1.0], ParameterError,
+            [0.0, 0.5, 1.0], ParameterError, *lane_path,
         )
         assert msg.startswith("at m = 0, ") and "0 at both bracket ends" in msg
 
@@ -489,12 +537,53 @@ class TestLockstepGrid:
         msg = self.assert_same_error(atom, mod, family, [2.4, 2.8, 3.2], BracketError)
         assert msg.startswith("at m = 2.8, no crossing in bracket")
 
-    def test_other_paths_and_families_stay_per_point(self, atom, monkeypatch):
+    @pytest.mark.parametrize("grid", [[0.5, 1.0, 1.1, 2.8], [2.4, 2.8, 3.2]])
+    def test_near_quadrature_phase_equals_per_point_loop(self, atom, lane_path, grid):
+        # the closed forms are affine in delta, so alpha = 1.4 scales their
+        # slope but leaves every crossing in its bracket
+        path, cell = lane_path
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=gt, alpha=1.4)
+        if path == "harmonic":
+            self.assert_same_error(atom, mod, family, grid, BracketError)
+        else:
+            self.sweep_and_reference(atom, mod, family, grid, path, cell)
+
+    @pytest.mark.parametrize("lane", ["linearized", "thick-0", "thick-0.43"])
+    def test_closed_form_bracket_failure_names_the_smallest_failing_m(
+        self, atom, lane
+    ):
+        # at four times the test power the non-resonant shift of a
+        # carrier-heavy spectrum (m <= 0.3) puts the closed-form crossing
+        # beyond +-Gamma_g_tilde
+        path, cell = LANE_PATHS[lane]
+        family = bessel_family(0.0, 5, 4.0 * POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        msg = self.assert_same_error(
+            atom, mod, family, [0.1, 0.2, 0.5, 1.0], BracketError, path, cell
+        )
+        assert msg.startswith("at m = 0.1, no crossing in bracket")
+        msg = self.assert_same_error(
+            atom, mod, family, [0.3, 0.5, 1.0], BracketError, path, cell
+        )
+        assert msg.startswith("at m = 0.3, no crossing in bracket")
+
+    def test_skewed_cell_names_the_first_m(self, atom):
         family = bessel_family(0.2, 5, POWER, OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
-        grid = np.linspace(2.0, 2.8, 5)
-        batched = find_ips_and_pzds(atom, mod, family, grid)
+        cell = CellParams(0.02, 0.43 / 0.02)
+        msg = self.assert_same_error(
+            atom, mod, family, [2.0, 2.4, 2.8], ParameterError, "thick", cell,
+            allow_asymmetric=False,
+        )
+        assert msg.startswith("at m = 2, the thick-cell average requires symmetric")
+
+    @staticmethod
+    def per_point_spectra(monkeypatch):
+        """The spectrum of every per-point crossing made from here on."""
         calls = []
         real = sweep.crossing_and_sensitivity
 
@@ -503,29 +592,59 @@ class TestLockstepGrid:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sweep, "crossing_and_sensitivity", counted)
+        return calls
+
+    def test_other_paths_and_families_stay_per_point(
+        self, atom, lane_path, monkeypatch
+    ):
+        path, cell = lane_path
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        grid = np.linspace(2.0, 2.8, 5)
+        batched = find_ips_and_pzds(atom, mod, family, grid, path, cell)
+        calls = self.per_point_spectra(monkeypatch)
         # a family that is not a BesselFamily takes the per-point loop
-        assert find_ips_and_pzds(atom, mod, lambda m: family(m), grid) == batched
+        plain = find_ips_and_pzds(atom, mod, lambda m: family(m), grid, path, cell)
+        assert plain == batched
         per_point = len(calls)
         calls.clear()
-        find_ips_and_pzds(atom, mod, family, grid)
-        # the batch leaves only the m-root refinement to the per-point crossing
+        find_ips_and_pzds(atom, mod, family, grid, path, cell)
+        # the lanes leave only the m-root refinement to the per-point crossing
         assert len(calls) == per_point - len(batched.records)
 
-    def test_batches_hold_at_most_max_lanes(self, atom, monkeypatch):
+    def test_only_failing_lanes_go_per_point(self, atom, monkeypatch):
+        # m = 0.5 has a clean bracket and m = 1.0 none: the lane of 0.5 is
+        # solved in the batch, and only 1.0 is solved again, per point
+        family = bessel_family(0.0, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=gt, alpha=1.4)
+        calls = self.per_point_spectra(monkeypatch)
+        with pytest.raises(BracketError, match="^at m = 1, "):
+            find_ips_and_pzds(atom, mod, family, [0.5, 1.0, 1.1, 2.8])
+        assert calls == [family(1.0)]
+
+    @pytest.mark.parametrize("lane", ["harmonic", "thick-0.43"])
+    def test_batches_hold_at_most_max_lanes(self, atom, lane, monkeypatch):
+        path, cell = LANE_PATHS[lane]
         sizes = []
-        real = sweep._lockstep_pairs
+        real = sweep._lane_pairs
 
-        def counted(atom, mod, family, ms):
+        def counted(atom, mod, family, ms, *args):
             sizes.append(len(ms))
-            return real(atom, mod, family, ms)
+            return real(atom, mod, family, ms, *args)
 
-        monkeypatch.setattr(sweep, "_lockstep_pairs", counted)
+        monkeypatch.setattr(sweep, "_lane_pairs", counted)
         monkeypatch.setattr(sweep, "MAX_LANES", 4)
         family = bessel_family(0.2, 5, POWER, OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
-        res = self.sweep_and_reference(atom, mod, family, np.linspace(2.0, 2.8, 9))
+        res = self.sweep_and_reference(
+            atom, mod, family, np.linspace(2.0, 2.8, 9), path, cell
+        )
         assert max(sizes) == 4 and sum(sizes) == len(res.records)
+        if path != "harmonic":
+            return
         # a failing m in a later batch is the one named
         family = bessel_family(0.0, 5, POWER, OMEGA)
         mod = make_modulation(a=0.2, omega_m=gt, alpha=1.4)

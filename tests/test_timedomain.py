@@ -1,6 +1,7 @@
 """Time-domain integration, lock-in demodulation, and the 4-level oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     make_spectrum,
     pair_spectrum,
 )
+from cptsim import timedomain
 from cptsim import (
     ModulationParams,
     ParameterError,
@@ -218,6 +220,42 @@ class TestIntegration:
         assert kappa(atom, c, 0.5, 0.5, 0.5 + 0j) == pytest.approx(
             0.0, abs=1e-12 * c.calV_L**2
         )
+
+
+class TestChunkedPeriod:
+    """A period of more than CHUNK_STEPS steps is integrated chunk by chunk."""
+
+    @staticmethod
+    def long_period(atom):
+        # omega_m = 0.01 Gamma_g_tilde: 31,416 steps per period, 8 chunks
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        return spec, make_modulation(a=0.2, omega_m=0.01 * gt), 0.01 * gt
+
+    def test_memory_beyond_the_trace_is_bounded_by_a_chunk(self, atom):
+        spec, mod, delta = self.long_period(atom)
+        tracemalloc.start()
+        try:
+            trace = integrate_ground_state(atom, spec, mod, delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        steps = (len(trace.t) - 1) // trace.n_periods
+        assert steps > 7 * timedomain.CHUNK_STEPS
+        held = trace.rho22.base.nbytes + sum(
+            a.nbytes for a in (trace.t, trace.rho11, trace.rho21, trace.kappa)
+        )
+        # holding the whole period's maps and products at once took about
+        # 20 MB beyond the 8 MB trace here; a chunk's products are 0.5 MiB
+        assert peak - held < 512 * timedomain.CHUNK_STEPS
+
+    def test_chunks_equal_one_scan_of_the_period(self, atom, monkeypatch):
+        spec, mod, delta = self.long_period(atom)
+        chunked = lockin(integrate_ground_state(atom, spec, mod, delta), 0.3)
+        monkeypatch.setattr(timedomain, "CHUNK_STEPS", 10**6)
+        whole = lockin(integrate_ground_state(atom, spec, mod, delta), 0.3)
+        assert chunked.S == pytest.approx(whole.S, rel=1e-12)
+        assert chunked.Q == pytest.approx(whole.Q, rel=1e-12)
 
 
 class TestAgainstHarmonicWaveform:
