@@ -400,6 +400,7 @@ def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.n
         raise ParameterError(f"modulation depth m must be >= 0, got {lowest}")
     if not -1.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must satisfy |epsilon| < 1, got {epsilon}")
+    require_integer("bessel_amplitudes", k_max=k_max)
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     if total_power <= 0:

@@ -13,10 +13,11 @@ error in the first-harmonic amplitudes.
 `HarmonicSignal` assembles the resulting 15x15 linear system once per
 spectrum, solves it at each detuning and projects the amplitudes onto the
 lock-in references; `solve_fourier_amplitudes` and `harmonic_signals` are
-the one-shot forms of the same assembly, solve and projection.  Given
-couplings of array fields, `HarmonicSignal` solves many spectra in one
-batched solve per call (a sweep grid's crossings), or one of them per
-call (the servo's steps).
+the one-shot forms of the same assembly, solve and projection.  Its lock-in
+weights and exact power slope are numpy expressions written once for
+floats (one spectrum) and for arrays over lanes of spectra: a call solves
+every lane in one batch (a sweep grid's crossings), `step` one lane (the
+servo's steps).
 `linearized_signals` evaluates the closed-form small-signal
 limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
@@ -175,16 +176,12 @@ def solve_fourier_amplitudes(
 
 
 def _lockin_weights(atom: AtomParams, P: float, calV_L, calV_R):
-    """(prefactor, calV_L^2 - calV_R^2, calV_L calV_R) of the lock-in signals;
-    over lanes, formed lane by lane in Python floats, because `float ** 2`
-    and numpy's square round differently about once in a thousand values."""
-    if isinstance(calV_L, np.ndarray):
-        pref, dV2, VV = zip(*(
-            _lockin_weights(atom, P, L, R)
-            for L, R in zip(calV_L.tolist(), calV_R.tolist())
-        ))
-        return pref[0], np.array(dV2), np.array(VV)
-    return 4.0 * P / (atom.gamma * atom.Gamma), calV_L**2 - calV_R**2, calV_L * calV_R
+    """(prefactor, calV_L^2 - calV_R^2, calV_L calV_R) of the lock-in signals,
+    for floats or lane arrays alike.  The squares are `np.float_power`, which
+    calls libm pow as Python's `float ** 2` does: `x * x` and numpy's square
+    round differently about once in a thousand values."""
+    dV2 = np.float_power(calV_L, 2) - np.float_power(calV_R, 2)
+    return 4.0 * P / (atom.gamma * atom.Gamma), dV2, calV_L * calV_R
 
 
 def _project(weights, x: np.ndarray):
@@ -196,18 +193,6 @@ def _project(weights, x: np.ndarray):
     S = pref * (dV2 * x[RG1] - VV * (x[RC1] + x[RCm1]))
     Q = pref * (dV2 * x[IG1] - VV * (x[IC1] - x[ICm1]))
     return S, Q
-
-
-def _power_slope(terms, x: np.ndarray, y: np.ndarray) -> float:
-    """`HarmonicSignal.power_sensitivity` of one spectrum, from x = A^-1 b,
-    y = A^-T c and terms (V_L + V_R, K, V_LR, V_R, delta_r + delta_nr)."""
-    V_sum, asym, V_LR, V_R, x0 = terms
-    A1 = _fourier_matrix((V_sum, asym, 0.0, 0.0, 0.0))
-    b1 = np.zeros(15)
-    b1[0], b1[1], b1[10] = -asym, V_LR, V_R
-    Jx = np.zeros(15)
-    Jx[_COHERENCE] = x[_COHERENCE]
-    return float(y @ (b1 - A1 @ x - x0 * Jx) / (2.0 * (y @ Jx)))
 
 
 class HarmonicSignal:
@@ -236,10 +221,6 @@ class HarmonicSignal:
         self._params, self.b = _system(couplings, modulation)
         self._weights = _lockin_weights(atom, cp.P, cp.calV_L, cp.calV_R)
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
-        # (dV2, VV, delta_r, delta_nr) of each lane, as `step` takes them
-        _, dV2, VV = self._weights
-        lanes = (np.ravel(v).tolist() for v in (dV2, VV, cp.delta_r, cp.delta_nr))
-        self._lanes = list(zip(*lanes))
 
     def _amplitudes(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         cp, p = self.couplings, self._params
@@ -252,12 +233,12 @@ class HarmonicSignal:
         return S * self._cos - Q * self._sin
 
     def step(self, j: int, delta: float) -> float:
-        """S(delta) of lane j alone: one 15x15 solve, projected in floats."""
-        dV2, VV, dr, dnr = self._lanes[j]
-        p = self._params[j]
-        p[SD] = 2.0 * delta + dr + dnr
+        """S(delta) of lane j alone: one 15x15 solve and its projection."""
+        cp, p = self.couplings, self._params[j]
+        p[SD] = 2.0 * delta + cp.delta_r[j] + cp.delta_nr[j]
         x = _solve(_fourier_matrix(p), self.b[j], p[GT], p[W])
-        S, Q = _project((self._weights[0], dV2, VV), x.tolist())
+        pref, dV2, VV = self._weights
+        S, Q = _project((pref, dV2[j], VV[j]), x.tolist())
         return S * self._cos - Q * self._sin
 
     def power_sensitivity(self, delta0):
@@ -269,8 +250,9 @@ class HarmonicSignal:
         scales (S = 0 at the root).  The implicit-function theorem on
         c^T A^-1 b = 0, with x = A^-1 b and y = A^-T c, gives
         d(delta_0)/ds = y^T (b1 - A1 x - x0 J x) / (2 y^T J x).
-        Divide by E^2 for d(delta_0)/dE^2.  Each lane's dot products are its
-        own and round as on one spectrum, which gives a 0-d array.
+        Divide by E^2 for d(delta_0)/dE^2; -2 y^T J x is dS/d(delta) at the
+        root.  The terms stack over lanes on a last axis of 15: `np.vecdot`
+        and the stacked `A1 @ x` round as one spectrum's `@` does.
         """
         cp = self.couplings
         # c^T x = S cos(alpha) - Q sin(alpha), the in-phase signal
@@ -280,10 +262,15 @@ class HarmonicSignal:
         c[..., [IG1, IC1, ICm1]] = -pref * self._sin * np.stack([dV2, -VV, VV], -1)
         A, x = self._amplitudes(delta0)
         y = _solve(np.swapaxes(A, -1, -2), c, self.width, self.modulation.omega_m)
-        terms = (cp.V_L + cp.V_R, cp.K, cp.V_LR, cp.V_R, cp.delta_r + cp.delta_nr)
-        lanes = zip(*(np.ravel(t).tolist() for t in terms))
-        slopes = map(_power_slope, lanes, x.reshape(-1, 15), y.reshape(-1, 15))
-        return np.reshape(list(slopes), np.shape(cp.K))
+        p1 = np.zeros_like(self._params)
+        p1[..., GT], p1[..., K] = cp.V_L + cp.V_R, cp.K
+        b1 = np.zeros_like(x)
+        b1[..., 0], b1[..., 1], b1[..., 10] = -cp.K, cp.V_LR, cp.V_R
+        Jx = np.zeros_like(x)
+        Jx[..., _COHERENCE] = x[..., _COHERENCE]
+        x0 = np.expand_dims(cp.delta_r + cp.delta_nr, -1)
+        r = b1 - (_fourier_matrix(p1) @ x[..., None])[..., 0] - x0 * Jx
+        return np.vecdot(y, r) / (2.0 * np.vecdot(y, Jx))
 
 
 def harmonic_signals(

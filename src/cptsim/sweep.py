@@ -106,9 +106,11 @@ def _brent(a, b, xtol, f_a=None, f_b=None):
     it needs f (f(a) and f(b) first, unless given), takes f(x) back by
     `send`, and returns the root.  A port of the branches of scipy's C
     `brentq` at rtol = RTOL: roots, iterates and errors equal scipy's
-    (ValueError for a NaN value or ends of one sign, RuntimeError after
-    MAXITER iterations).
+    (ValueError for xtol <= 0, a NaN value or ends of one sign,
+    RuntimeError after MAXITER iterations).
     """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
 
     def checked(x, fx):
         if math.isnan(fx):
@@ -289,10 +291,16 @@ def zero_crossing(
     (to rounding, whatever `xtol`); the other paths use Brent's method.
     Raises BracketError with the endpoint signal values when there is no
     sign change, and ParameterError when the signal is zero at both ends
-    or a = 0 (a flat signal has no crossing).  `signal` is
-    `make_signal_function` of the same inputs, for a caller that evaluates
-    it again after the crossing; by default it is built here.
+    or a = 0 (a flat signal has no crossing), and on every path, before
+    the signal is evaluated, when a bracket end is not finite or `xtol` is
+    not finite and > 0.  `signal` is `make_signal_function` of the same
+    inputs, for a caller that evaluates it again after the crossing; by
+    default it is built here.
     """
+    if bracket is not None and not all(map(math.isfinite, bracket)):
+        raise ParameterError(f"bracket ends must be finite, got {bracket}")
+    if xtol is not None and not (math.isfinite(xtol) and xtol > 0):
+        raise ParameterError(f"xtol must be finite and > 0, got {xtol}")
     if signal is None:
         signal = make_signal_function(
             atom, spectrum, modulation, path, cell, allow_asymmetric
@@ -367,12 +375,35 @@ class BesselFamily:
     Calling it with m returns `bessel_spectrum(m, epsilon, k_max,
     total_power, Omega)`; `amplitudes` and `couplings` build the spectra of
     many depths at once, for the servo's steps and a sweep grid's lanes.
+    Every field is checked on construction (ParameterError), so no lane
+    meets an invalid family.
     """
 
     epsilon: float
     k_max: int
     total_power: float
     Omega: float
+
+    def __post_init__(self) -> None:
+        require_finite(
+            "BesselFamily",
+            epsilon=self.epsilon,
+            total_power=self.total_power,
+            Omega=self.Omega,
+        )
+        require_integer("BesselFamily", k_max=self.k_max)
+        if not -1.0 < self.epsilon < 1.0:
+            raise ParameterError(
+                f"BesselFamily epsilon must satisfy |epsilon| < 1, got {self.epsilon}"
+            )
+        if self.k_max < 2:
+            raise ParameterError(f"BesselFamily k_max must be >= 2, got {self.k_max}")
+        if self.total_power <= 0:
+            raise ParameterError(
+                f"BesselFamily total_power must be > 0, got {self.total_power}"
+            )
+        if self.Omega <= 0:
+            raise ParameterError(f"BesselFamily Omega must be > 0, got {self.Omega}")
 
     def __call__(self, m: float) -> FieldSpectrum:
         return bessel_spectrum(
@@ -408,7 +439,8 @@ def _lane_pairs(
     lies in it or the harmonic signal has strictly opposite signs at its
     ends.  Other lanes (an error, a flat signal such as every lane at a = 0,
     a root at an end) are left to `pair_at`, and so is every lane when the
-    signal cannot be built (an invalid family or cell).
+    signal cannot be built (a negative depth, or a cell that rejects the
+    spectra).
     """
     if not ms:
         return {}

@@ -83,6 +83,14 @@ class TestBesselSpectrum:
         with pytest.raises(ParameterError):
             bessel_spectrum(m=2.4, epsilon=0.0, k_max=5, total_power=0.0, Omega=OMEGA)
 
+    @pytest.mark.parametrize("k_max", [5.0, "5"])
+    def test_rejects_a_k_max_that_is_not_an_integer(self, k_max):
+        match = f"k_max must be an integer, got {k_max!r}"
+        with pytest.raises(ParameterError, match=match):
+            bessel_spectrum(m=2.4, epsilon=0.0, k_max=k_max, total_power=1.0, Omega=OMEGA)
+        with pytest.raises(ParameterError, match=match):
+            bessel_amplitudes(np.array([2.0, 2.4]), 0.0, k_max, 1.0)
+
 
 class TestBesselAmplitudes:
     """The m-array form of the Bessel spectrum and of its couplings."""

@@ -1,12 +1,16 @@
 """Fourier-amplitude solve, lock-in signal assembly, and the closed forms."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import (
+    E_TOTAL,
     GAMMA_G,
+    OMEGA,
+    POWER,
     fourier_amplitudes,
     make_atom,
     make_modulation,
@@ -15,13 +19,17 @@ from conftest import (
 from cptsim import (
     ModulationParams,
     asymmetry_shift,
+    bessel_spectrum,
     derive_couplings,
+    harmonic,
     harmonic_signals,
     integrate_ground_state,
     linearized_signals,
     lockin,
+    make_signal_function,
     zero_crossing,
 )
+from cptsim.core import amplitude_couplings
 
 
 def centered_delta(atom, spectrum, offset_2delta_tilde: float) -> float:
@@ -293,3 +301,41 @@ class TestLinearized:
             atom, spec, mod, centered_delta(atom, spec, 0.04 * c.Gamma_g_tilde)
         )
         assert clean.warnings == ()
+
+
+class TestHarmonicLanes:
+    """Lane arrays take the one-spectrum arithmetic, bit for bit."""
+
+    def test_lockin_weights_equal_python_floats(self, atom):
+        rng = np.random.default_rng(22)
+        L, R = rng.uniform(0.0, 2.0, (2, 10_000)) * E_TOTAL
+        pref, dV2, VV = harmonic._lockin_weights(atom, 1.7, L, R)
+        Ls, Rs = L.tolist(), R.tolist()
+        assert dV2.tolist() == [l**2 - r**2 for l, r in zip(Ls, Rs)]
+        assert VV.tolist() == [l * r for l, r in zip(Ls, Rs)]
+        assert pref == harmonic._lockin_weights(atom, 1.7, Ls[0], Rs[0])[0]
+        # the draw holds values whose x * x rounds unlike x ** 2
+        assert any(l * l != l**2 for l in Ls)
+
+    @pytest.mark.parametrize("w_frac, alpha", [(0.1, 0.0), (0.5, 0.4), (1.5, -0.9)])
+    def test_lanes_equal_one_spectrum_signals(self, atom, w_frac, alpha):
+        rng = random.Random(22)
+        specs = [
+            bessel_spectrum(
+                rng.uniform(1.6, 3.4), rng.uniform(-0.4, 0.4), 5,
+                POWER * rng.uniform(0.5, 1.5), OMEGA,
+            )
+            for _ in range(40)
+        ]
+        gt = derive_couplings(atom, specs[0]).Gamma_g_tilde
+        mod = ModulationParams(a=0.2, omega_m=w_frac * gt, alpha=alpha)
+        amps = {k: np.array([s.components[k] for s in specs]) for k in range(-5, 6)}
+        lanes = harmonic.HarmonicSignal(atom, amplitude_couplings(atom, amps, OMEGA), mod)
+        singles = [make_signal_function(atom, s, mod) for s in specs]
+        deltas = [rng.uniform(-gt, gt) for _ in specs]
+        S = [float(one(d)) for one, d in zip(singles, deltas)]
+        assert lanes(np.array(deltas)).tolist() == S
+        assert [float(lanes.step(j, d)) for j, d in enumerate(deltas)] == S
+        assert lanes.power_sensitivity(np.array(deltas)).tolist() == [
+            float(one.power_sensitivity(d)) for one, d in zip(singles, deltas)
+        ]

@@ -123,6 +123,36 @@ class TestZeroCrossing:
             with pytest.raises(BracketError, match="S\\(lo\\) = .*S\\(hi\\) = "):
                 zero_crossing(atom, spec, mod, path, bracket=bracket, **kw)
 
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "thick", "time-domain"])
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(xtol=math.inf), "xtol must be finite and > 0, got inf"),
+            (dict(xtol=math.nan), "xtol must be finite and > 0, got nan"),
+            (dict(xtol=0.0), "xtol must be finite and > 0, got 0.0"),
+            (dict(xtol=-1.0), "xtol must be finite and > 0, got -1.0"),
+            (dict(bracket=(-math.inf, 1.0)), r"bracket ends must be finite, got \(-inf"),
+            (dict(bracket=(-1.0, math.inf)), r"bracket ends must be finite, got .*inf\)"),
+            (dict(bracket=(math.nan, 1.0)), r"bracket ends must be finite, got \(nan"),
+        ],
+    )
+    def test_rejects_bad_xtol_and_bracket_before_evaluating(
+        self, atom, monkeypatch, path, kw, match
+    ):
+        spec = make_spectrum(m=2.3, epsilon=0.2)
+        mod = make_modulation(a=0.2)
+        cell = dict(cell=CellParams(0.02, 0.43 / 0.02, 64), allow_asymmetric=True)
+        signal_type = type(make_signal_function(atom, spec, mod, path, **cell))
+
+        def untouched(*args):
+            raise AssertionError("the signal was evaluated")
+
+        monkeypatch.setattr(signal_type, "__call__", untouched)
+        if hasattr(signal_type, "crossing"):
+            monkeypatch.setattr(signal_type, "crossing", untouched)
+        with pytest.raises(ParameterError, match=match):
+            zero_crossing(atom, spec, mod, path, **cell, **kw)
+
     def test_rejects_bad_bracket_and_path(self, atom):
         spec = make_spectrum(m=2.3, epsilon=0.0)
         mod = make_modulation()
@@ -706,6 +736,19 @@ class TestBrent:
         with pytest.raises(ValueError, match="NaN"):
             sweep.brentq(lambda x: x, -1.0, 1.0, f_a=math.nan, **kw)
 
+    @pytest.mark.parametrize("xtol", [0.0, -1.0])
+    def test_rejects_xtol_at_or_below_zero_as_scipy(self, xtol):
+        # scipy refuses before it evaluates f; without the check the port
+        # would converge by rtol alone
+        def f(x):
+            raise AssertionError("f was evaluated")
+
+        with pytest.raises(ValueError) as ours:
+            sweep.brentq(f, 0.0, 1.0, xtol=xtol)
+        with pytest.raises(ValueError) as scipys:
+            brentq(f, 0.0, 1.0, xtol=xtol, rtol=sweep.RTOL)
+        assert str(ours.value) == str(scipys.value) == f"xtol too small ({xtol:g} <= 0)"
+
     def test_non_convergence_raises_runtime_error(self):
         # a jump at 0 with an absolute tolerance of 1e-300: bisection would
         # need about a thousand halvings
@@ -775,6 +818,36 @@ def test_run_path_does_not_import_scipy_optimize(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+class TestBesselFamily:
+    GOOD = dict(epsilon=0.2, k_max=5, total_power=POWER, Omega=OMEGA)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("epsilon", 1.0, r"epsilon must satisfy \|epsilon\| < 1, got 1.0"),
+            ("epsilon", -1.0, r"epsilon must satisfy \|epsilon\| < 1, got -1.0"),
+            ("epsilon", math.nan, "epsilon must be finite, got nan"),
+            ("k_max", 5.0, "k_max must be an integer, got 5.0"),
+            ("k_max", "5", "k_max must be an integer, got '5'"),
+            ("k_max", 1, "k_max must be >= 2, got 1"),
+            ("total_power", 0.0, "total_power must be > 0, got 0.0"),
+            ("total_power", -POWER, "total_power must be > 0, got -"),
+            ("total_power", math.inf, "total_power must be finite, got inf"),
+            ("Omega", 0.0, "Omega must be > 0, got 0.0"),
+            ("Omega", -OMEGA, "Omega must be > 0, got -"),
+            ("Omega", math.inf, "Omega must be finite, got inf"),
+            ("Omega", math.nan, "Omega must be finite, got nan"),
+        ],
+    )
+    def test_rejects_each_bad_field(self, field, value, match):
+        with pytest.raises(ParameterError, match=f"BesselFamily.{match}"):
+            bessel_family(**{**self.GOOD, field: value})
+
+    def test_accepts_the_bounds(self):
+        bessel_family(epsilon=-0.99, k_max=2, total_power=1e-30, Omega=1e-30)
+        bessel_family(epsilon=0.99, k_max=np.int64(8), total_power=POWER, Omega=OMEGA)
 
 
 class TestSymmetrizingDetuning:
