@@ -42,7 +42,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = args.out_dir or os.environ.get("CPTSIM_OUT_DIR") or None
     try:
         result = run_scenario(config, out_dir)
-    except (ParameterError, ValueError) as exc:
+    except (ParameterError, ValueError, OSError) as exc:
         print(f"scenario {args.config} failed: {exc}", file=sys.stderr)
         return 1
     for path in result.csv_paths + result.roots_paths:
@@ -78,6 +78,12 @@ def _cmd_sym_detuning(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.delta_hz):
+        print(
+            f"invalid arguments: --delta-hz must be finite, got {args.delta_hz}",
+            file=sys.stderr,
+        )
+        return 2
     config = _load_config(args.config)
     if isinstance(config, int):
         return config
@@ -88,15 +94,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace = integrate_ground_state(
             atom, spectrum, modulation, TWO_PI * args.delta_hz
         )
-    except (ParameterError, ValueError) as exc:
+        emit_csv(
+            args.out,
+            ["t", "rho22", "rho11", "Re_rho21", "Im_rho21", "kappa"],
+            zip(trace.t, trace.rho22, trace.rho11, trace.rho21.real,
+                trace.rho21.imag, trace.kappa),
+        )
+    except (ParameterError, ValueError, OSError) as exc:
         print(f"trace for {args.config} failed: {exc}", file=sys.stderr)
         return 1
-    emit_csv(
-        args.out,
-        ["t", "rho22", "rho11", "Re_rho21", "Im_rho21", "kappa"],
-        zip(trace.t, trace.rho22, trace.rho11, trace.rho21.real,
-            trace.rho21.imag, trace.kappa),
-    )
     print(args.out)
     return 0
 

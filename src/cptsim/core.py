@@ -384,7 +384,7 @@ def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.n
     """Amplitudes E_k of `bessel_spectrum`, k = -k_max ... k_max along axis 0.
 
     `m` is one depth, or a 1-D array of depths along axis 1; a NaN or
-    infinite depth is rejected by value.  Each column
+    infinite depth or total_power is rejected by value.  Each column
     equals the components of `bessel_spectrum` at its depth bit for bit:
     the same `jv` values, skew and math.fsum normalisation, applied
     elementwise.
@@ -403,6 +403,7 @@ def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.n
     require_integer("bessel_amplitudes", k_max=k_max)
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
+    require_finite("bessel_amplitudes", total_power=total_power)
     if total_power <= 0:
         raise ParameterError(f"total_power must be positive, got {total_power}")
 

@@ -13,8 +13,9 @@ order the asymmetry shift delta_as cancels the resonant light shift
 delta_r, so the split from asymmetry comes from higher orders in the
 modulation index and the power, which the harmonic path keeps.
 `find_ips_and_pzds` maps both root families over an m-grid with sign-change
-isolation checks; on the harmonic, linearized and thick paths the depths of
-a grid round are the lanes of one signal, and only a lane without a clean
+isolation checks and refines every root as a lane of one Brent search in m;
+on the harmonic, linearized and thick paths the new depths of a grid or
+Brent round are the lanes of one signal, and only a lane without a clean
 bracket, or a time-domain sweep, is solved point by point.
 `servo_lock_experiment` reproduces the experimental detection of IPs by
 locking a servo to the zero crossing while the light intensity is
@@ -162,24 +163,20 @@ def _brent(a, b, xtol, f_a=None, f_b=None):
 
 def brentq(f, a, b, xtol, f_a=None, f_b=None):
     """scipy's `brentq(f, a, b, xtol=xtol, rtol=RTOL)`, root and iterates,
-    from `_brent`; `f_a` and `f_b` are f(a) and f(b) if known."""
-    steps, value = _brent(a, b, xtol, f_a, f_b), None
-    try:
-        while True:
-            value = f(steps.send(value))
-    except StopIteration as done:
-        return done.value
-
-
-def _brent_lockstep(f, brackets) -> np.ndarray:
-    """Roots of n brackets (a_j, b_j, xtol_j, f(a_j), f(b_j)), each found as
-    `brentq` finds it.  The lanes j step together: f maps the x of every
-    lane to their values, once per round, and a lane that has converged
-    holds its root as its x.
+    from `_brent`; `f_a` and `f_b` are f(a) and f(b) if known.  For 1-D
+    numpy arrays a and b (`xtol`, `f_a` and `f_b` such arrays too, or one
+    value every lane shares) the lanes step together: f maps the array of
+    their x to their values once per round, a converged lane holds its root
+    as its x, and the roots come back as an array, each that of its own
+    scalar call.
     """
-    steps = [_brent(a, b, xtol, f_a, f_b) for a, b, xtol, f_a, f_b in brackets]
-    xs, values = np.empty(len(steps)), [None] * len(steps)
-    running = range(len(steps))
+    one, n = np.ndim(a) == 0, np.size(a)
+    steps = [_brent(*lane) for lane in zip(*(
+        v.tolist() if isinstance(v, np.ndarray) and v.ndim else [v] * n
+        for v in (a, b, xtol, f_a, f_b)
+    ))]
+    xs, values = [0.0] * n, [None] * n
+    running = range(n)
     while True:
         still = []
         for j in running:
@@ -189,8 +186,8 @@ def _brent_lockstep(f, brackets) -> np.ndarray:
             except StopIteration as done:
                 xs[j] = done.value
         if not still:
-            return xs
-        running, values = still, f(xs).tolist()
+            return xs[0] if one else np.array(xs)
+        running, values = still, [f(xs[0])] if one else f(np.array(xs)).tolist()
 
 
 @dataclass(frozen=True)
@@ -432,7 +429,7 @@ def _lane_pairs(
 
     The couplings of every m come from one `BesselFamily.couplings` pass;
     the affine paths solve every crossing in closed form, and each round of
-    the harmonic lockstep Brent is one batched solve.  Each lane's
+    the harmonic lanes' `brentq` is one batched solve.  Each lane's
     arithmetic is that of `crossing_and_sensitivity` on family(m), E^2 the
     math.fsum of `FieldSpectrum.total_power`, so every pair equals it bit
     for bit.  A bracket +-Gamma_g_tilde is clean if the closed-form root
@@ -463,8 +460,7 @@ def _lane_pairs(
         kept = [m for m, ok in zip(ms, clean.tolist()) if ok]
         return _lane_pairs(atom, modulation, family, kept, path, cell, allow_asymmetric)
     if not isinstance(signal, ClosedFormSignal):
-        brackets = (-gt, gt, SWEEP_XTOL * gt, S_lo, S_hi)
-        roots = _brent_lockstep(signal, zip(*(v.tolist() for v in brackets)))
+        roots = brentq(signal, -gt, gt, SWEEP_XTOL * gt, S_lo, S_hi)
     powers = _fsum_columns(amps * amps)
     slopes = signal.power_sensitivity(roots) / powers
     return dict(zip(ms, zip(roots.tolist(), slopes.tolist(), powers.tolist())))
@@ -544,17 +540,19 @@ def find_ips_and_pzds(
     """Locate every IP and PZD of a spectrum family over an m-grid.
 
     At each grid point the zero crossing delta_0 and its power slope
-    dDelta0_dE2 are solved together (`crossing_and_sensitivity`).  Sign changes of the
-    slope mark IPs, sign changes of delta_0 mark PZDs; each is refined by
-    bracketed root finding in m.  The grid is checked for isolation by
-    midpoint densification: if either root count changes, the densified
-    grid is adopted (up to MAX_REFINE times).  `family` and the pair are
-    computed once per distinct m; with a `BesselFamily` on every path but
-    the time domain, the new m of each grid round as lanes of one signal,
-    in batches of at most MAX_LANES (`_lane_pairs`).  Only lanes without a
-    clean bracket and the m-root refinement are solved per point.  A
-    BracketError or ParameterError names the m at which it occurred, the
-    smallest failing m of its round.
+    dDelta0_dE2 are solved together (`crossing_and_sensitivity`).  Sign
+    changes of the slope mark IPs, sign changes of delta_0 mark PZDs, and
+    each is one lane of a single `brentq` in m.  The grid is checked for
+    isolation by midpoint densification: if either root count changes, the
+    densified grid is adopted (up to MAX_REFINE times).  `family` and the
+    pair are computed once per distinct m; with a `BesselFamily` on every
+    path but the time domain, the new m of each grid or Brent round are
+    lanes of one signal, in batches of at most MAX_LANES (`_lane_pairs`),
+    and only lanes without a clean bracket are solved per point.  A
+    BracketError or ParameterError names the m at which it occurred: the
+    smallest failing m of a grid round, or the first of a Brent round, PZD
+    lanes before IP lanes (with two failing roots, not always the one a
+    search that refines root after root meets first).
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -578,14 +576,18 @@ def find_ips_and_pzds(
                 raise type(exc)(f"at m = {m:.12g}, {exc}") from exc
         return pairs[m]
 
-    def sign_changes(grid: list[float], which: int) -> list[int]:
-        new = [m for m in grid if m not in pairs] if lanes else []
+    def entries(grid: list[float], which: list[int]) -> list[float]:
+        """Entry which[j] of the pair at each grid[j], new m as lanes first."""
+        new = list(dict.fromkeys(m for m in grid if m not in pairs)) if lanes else []
         for start in range(0, len(new), MAX_LANES):
             pairs.update(_lane_pairs(
                 atom, modulation, family, new[start : start + MAX_LANES],
                 path, cell, allow_asymmetric,
             ))
-        return _sign_change_intervals([pair_at(m)[which] for m in grid])
+        return [pair_at(m)[w] for m, w in zip(grid, which)]
+
+    def sign_changes(grid: list[float], which: int) -> list[int]:
+        return _sign_change_intervals(entries(grid, [which] * len(grid)))
 
     for _ in range(MAX_REFINE):
         dense = sorted(ms + [0.5 * (a + b) for a, b in zip(ms, ms[1:])])
@@ -598,18 +600,15 @@ def find_ips_and_pzds(
             break
     delta0s, derivs, powers = zip(*(pair_at(m) for m in ms))
 
-    xtol_m = 1e-7 * (ms[-1] - ms[0])
-
-    def refine(which: int) -> tuple[list[int], list[float]]:
-        """Sign-change intervals of pair entry `which` and its roots in m."""
-        intervals = sign_changes(ms, which)
-        return intervals, [
-            brentq(lambda m: pair_at(m)[which], ms[i], ms[i + 1], xtol=xtol_m)
-            for i in intervals
-        ]
-
-    pzd_intervals, pzd_roots = refine(0)
-    ip_intervals, ip_ms = refine(1)
+    pzd_intervals, ip_intervals = sign_changes(ms, 0), sign_changes(ms, 1)
+    which = [0] * len(pzd_intervals) + [1] * len(ip_intervals)
+    lo, hi = ([ms[i + k] for i in pzd_intervals + ip_intervals] for k in (0, 1))
+    roots = brentq(
+        lambda xs: np.array(entries(xs.tolist(), which)),
+        np.array(lo), np.array(hi), 1e-7 * (ms[-1] - ms[0]),
+        np.array(entries(lo, which)), np.array(entries(hi, which)),
+    ).tolist()
+    pzd_roots, ip_ms = roots[: len(pzd_intervals)], roots[len(pzd_intervals) :]
     ip_roots = []
     for m_ip in ip_ms:
         nearest = min(pzd_roots, key=lambda p: abs(p - m_ip), default=None)

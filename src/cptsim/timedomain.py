@@ -28,6 +28,7 @@ from .core import (
     ModulationParams,
     ParameterError,
     derive_couplings,
+    require_finite,
 )
 
 __all__ = [
@@ -115,6 +116,19 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
     return P
 
 
+def _total_product(maps: np.ndarray) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0], equal bit for bit to the last entry of
+    `_prefix_products(maps)`: each round multiplies neighbours paired from
+    the end, as the scan forms its last entry, and an odd leading map waits
+    alone for the next round.
+    """
+    while len(maps) > 1:
+        odd = len(maps) % 2
+        paired = maps[odd + 1 :: 2] @ maps[odd::2]
+        maps = np.concatenate((maps[:odd], paired)) if odd else paired
+    return maps[0]
+
+
 def integrate_ground_state(
     atom: AtomParams,
     spectrum: FieldSpectrum,
@@ -133,11 +147,14 @@ def integrate_ground_state(
     dt <= (2 pi / omega_m)/200 and dt <= 0.02/Gamma_g_tilde.  Returns
     TRACE_PERIODS periods of the orbit (endpoint included), starting at t = 0.
 
-    The maps of a period are built and scanned CHUNK_STEPS at a time: once
-    to carry the running product to the period map, then again to step the
-    orbit from each chunk's first state.  A period of one chunk is built
-    once, and its orbit is that of a single scan.
+    The maps of a period are built CHUNK_STEPS at a time: once to carry
+    the running product to the period map, each chunk's total by a pairwise
+    reduction, then again to step the orbit from each chunk's first state
+    by a scan.  A period of one chunk is built and scanned once, and its
+    orbit is that of a single scan.  A NaN or infinite `delta` raises
+    ParameterError.
     """
+    require_finite("integrate_ground_state", delta=delta)
     c = derive_couplings(atom, spectrum)
     wm = modulation.omega_m
     spp = max(200, math.ceil(2.0 * math.pi / wm * c.Gamma_g_tilde / 0.02))
@@ -146,14 +163,14 @@ def integrate_ground_state(
     x0, x1 = 2.0 * delta + c.delta_r + c.delta_nr, 2.0 * modulation.a * wm
     starts = range(0, spp, CHUNK_STEPS)
 
-    def products(start: int) -> np.ndarray:
+    def maps(start: int) -> np.ndarray:
         stop = min(start + CHUNK_STEPS, spp)
-        return _prefix_products(_rk4_step_maps(c, wm, x0, x1, h, start, stop))
+        return _rk4_step_maps(c, wm, x0, x1, h, start, stop)
 
-    first = products(0)
+    first = _prefix_products(maps(0))
     M = first[-1]
     for start in starts[1:]:
-        M = products(start)[-1] @ M
+        M = _total_product(maps(start)) @ M
     # y(0) = M y(0), M the map of one period: a 3x3 solve for the periodic orbit
     y0 = np.linalg.solve(np.eye(3) - M[:3, :3], M[:3, 3])
     orbit = np.empty((TRACE_PERIODS * spp + 1, 3))
@@ -161,7 +178,8 @@ def integrate_ground_state(
     for start in starts:
         # P[n] maps the chunk's first state to the state after step start + n;
         # the period's last step returns to y0
-        P = (first if start == 0 else products(start))[: spp - 1 - start]
+        chunk = first if start == 0 else _prefix_products(maps(start))
+        P = chunk[: spp - 1 - start]
         rows = slice(start + 1, start + 1 + len(P))
         orbit[rows] = P[:, :3, :3] @ orbit[start] + P[:, :3, 3]
     for k in range(1, TRACE_PERIODS):

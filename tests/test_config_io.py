@@ -565,3 +565,31 @@ class TestCli:
         assert len(rows) == trace.t.size
         assert float(rows[0][5]) == pytest.approx(trace.kappa[0], rel=1e-11)
         assert float(rows[-1][0]) == pytest.approx(trace.t[-1], rel=1e-11)
+
+    @pytest.mark.parametrize("delta_hz", ["nan", "inf", "-inf"])
+    def test_trace_non_finite_detuning_exits_2(self, tmp_path, capsys, delta_hz):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "trace.csv"
+        code = main(["trace", path, f"--delta-hz={delta_hz}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: --delta-hz must be finite")
+        assert not out.exists()
+
+    def test_run_unwritable_out_dir_is_one_line_exit_1(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        (tmp_path / "a_file").write_text("")
+        out_dir = tmp_path / "a_file" / "results"
+        assert main(["run", path, "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario {path} failed: ")
+        assert err.count("\n") == 1 and "Not a directory" in err
+
+    def test_trace_unwritable_out_is_one_line_exit_1(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        (tmp_path / "a_file").write_text("")
+        out = tmp_path / "a_file" / "trace.csv"
+        assert main(["trace", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"trace for {path} failed: ")
+        assert err.count("\n") == 1 and "Not a directory" in err

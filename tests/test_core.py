@@ -133,6 +133,15 @@ class TestBesselAmplitudes:
         with pytest.raises(ParameterError, match=match):
             bessel_family(0.0, 5, POWER, OMEGA).amplitudes(np.array([bad, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_total_power(self, bad):
+        # NaN compares False, so the <= 0 check alone would let it through
+        match = f"^bessel_amplitudes.total_power must be finite, got {bad}$"
+        with pytest.raises(ParameterError, match=match):
+            bessel_amplitudes(np.array([2.0, 2.4]), 0.0, 5, bad)
+        with pytest.raises(ParameterError, match=match):
+            bessel_spectrum(2.4, 0.0, 5, bad, OMEGA)
+
 
 class TestFieldSpectrum:
     def test_rejects_bad_components(self):

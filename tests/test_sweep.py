@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import conftest
 from conftest import (
     GAMMA_OPT,
     OMEGA,
@@ -633,15 +634,17 @@ class TestLockstepGrid:
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
         grid = np.linspace(2.0, 2.8, 5)
         batched = find_ips_and_pzds(atom, mod, family, grid, path, cell)
+        assert batched.ip_roots and batched.pzd_roots
         calls = self.per_point_spectra(monkeypatch)
-        # a family that is not a BesselFamily takes the per-point loop
+        # a family that is not a BesselFamily takes the per-point loop, for
+        # the grid and for the m-root refinement
         plain = find_ips_and_pzds(atom, mod, lambda m: family(m), grid, path, cell)
         assert plain == batched
-        per_point = len(calls)
+        assert len(calls) > len(batched.records)
         calls.clear()
+        # the lanes solve the grid and the refinement: no per-point crossing
         find_ips_and_pzds(atom, mod, family, grid, path, cell)
-        # the lanes leave only the m-root refinement to the per-point crossing
-        assert len(calls) == per_point - len(batched.records)
+        assert calls == []
 
     def test_only_failing_lanes_go_per_point(self, atom, monkeypatch):
         # m = 0.5 has a clean bracket and m = 1.0 none: the lane of 0.5 is
@@ -669,10 +672,18 @@ class TestLockstepGrid:
         family = bessel_family(0.2, 5, POWER, OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
         mod = make_modulation(a=0.2, omega_m=0.5 * gt)
-        res = self.sweep_and_reference(
-            atom, mod, family, np.linspace(2.0, 2.8, 9), path, cell
-        )
-        assert max(sizes) == 4 and sum(sizes) == len(res.records)
+        grid = np.linspace(2.0, 2.8, 9)
+        asked = []
+
+        def asking(m):
+            asked.append(m)
+            return family(m)
+
+        res = find_ips_and_pzds(atom, mod, family, grid, path, cell)
+        assert res == reference_ips_and_pzds(atom, mod, asking, grid, path, cell)
+        # every distinct m the per-point loop solves, on the grid and in the
+        # refinement rounds, is one lane of one batch
+        assert max(sizes) == 4 and sum(sizes) == len(asked) > len(res.records)
         if path != "harmonic":
             return
         # a failing m in a later batch is the one named
@@ -681,6 +692,67 @@ class TestLockstepGrid:
         grid = [2.0, 2.1, 2.2, 2.3, 2.4, 2.8, 3.2]
         msg = self.assert_same_error(atom, mod, family, grid, BracketError)
         assert msg.startswith("at m = 2.8, no crossing in bracket")
+
+    def test_roots_of_different_round_counts_equal_per_point_loop(
+        self, atom, monkeypatch
+    ):
+        # at omega_m = Gamma_g_tilde the scalar search takes 9 evaluations
+        # for the PZD of this grid and 6 for its IP: the PZD lane runs on
+        # after the IP lane has converged
+        evaluations = []
+        real = conftest.brentq
+
+        def counted(f, *args, **kwargs):
+            xs = []
+            root = real(lambda m: xs.append(m) or f(m), *args, **kwargs)
+            evaluations.append(len(xs))
+            return root
+
+        monkeypatch.setattr(conftest, "brentq", counted)
+        family = bessel_family(0.0, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=gt)
+        res = self.sweep_and_reference(atom, mod, family, [2.2, 2.4, 2.6])
+        assert len(res.pzd_roots) == len(res.ip_roots) == 1
+        assert evaluations == [9, 6]
+
+    def test_refinement_failure_names_the_first_m_of_its_round(
+        self, atom, monkeypatch
+    ):
+        # a pair that fails off the grid, except at the PZD lane's first
+        # iterate: the lanes name the IP lane's first iterate, from the
+        # first round, where a root-by-root search names the PZD lane's
+        # second iterate
+        def pair_entries(m):
+            return 6.0 - m * m, m * m - 5.5  # PZD at sqrt(6), IP at sqrt(5.5)
+
+        grid = [2.0, 2.2, 2.4, 2.6, 2.8]
+        xtol = 1e-7 * (grid[-1] - grid[0])
+        dense = sorted(grid + [0.5 * (a + b) for a, b in zip(grid, grid[1:])])
+        pzd_at, ip_at = (
+            next(sweep._brent(a, b, xtol, pair_entries(a)[w], pair_entries(b)[w]))
+            for w, a, b in [(0, dense[4], dense[5]), (1, dense[3], dense[4])]
+        )
+        solvable = set(dense) | {pzd_at}
+
+        def pair(atom, spectrum, *args):
+            if spectrum.m not in solvable:
+                raise BracketError("no crossing in bracket")
+            return pair_entries(spectrum.m)
+
+        monkeypatch.setattr(sweep, "crossing_and_sensitivity", pair)
+        monkeypatch.setattr(conftest, "crossing_and_sensitivity", pair)
+        args = (
+            atom, make_modulation(), lambda m: SimpleNamespace(m=m, total_power=1.0),
+            grid,
+        )
+        with pytest.raises(BracketError) as info:
+            find_ips_and_pzds(*args)
+        assert str(info.value) == f"at m = {ip_at:.12g}, no crossing in bracket"
+        with pytest.raises(BracketError) as ref:
+            reference_ips_and_pzds(*args)
+        named = float(re.match(r"at m = (\S+),", str(ref.value))[1])
+        assert dense[4] < named < dense[5] and named != pzd_at
 
 
 class TestBrent:
@@ -780,7 +852,7 @@ class TestBrent:
             rounds.append(xs.tolist())
             return np.array([s(x) for s, x in zip(signals, xs)])
 
-        roots = sweep._brent_lockstep(f, zip(lo, hi, xtol, f_lo, f_hi))
+        roots = sweep.brentq(f, *map(np.array, (lo, hi, xtol, f_lo, f_hi)))
         lanes = [
             self.iterates(sweep.brentq, s, a, b, xtol=t, f_a=fa, f_b=fb)
             for s, a, b, t, fa, fb in zip(signals, lo, hi, xtol, f_lo, f_hi)
@@ -791,6 +863,30 @@ class TestBrent:
             assert [r[j] for r in rounds[: len(xs)]] == xs
         counts = {len(xs) for _, xs in lanes}
         assert len(rounds) == max(counts) and len(counts) > 1
+
+    def test_lanes_with_omitted_ends_a_shared_xtol_or_none(self):
+        c = np.array([1.0, 2.0, 3.0, 5.0])
+        rounds = []
+
+        def f(xs):
+            rounds.append(xs.tolist())
+            return xs * xs - c
+
+        roots = sweep.brentq(f, np.zeros(4), np.full(4, 3.0), 1e-12)
+        # the first two rounds evaluate every lane's ends
+        assert rounds[:2] == [[0.0] * 4, [3.0] * 4]
+        lanes = [
+            self.iterates(sweep.brentq, lambda x: x * x - cj, 0.0, 3.0, xtol=1e-12)
+            for cj in c.tolist()
+        ]
+        assert roots.tolist() == [root for root, _ in lanes]
+        for j, (_, xs) in enumerate(lanes):
+            assert [r[j] for r in rounds[: len(xs)]] == xs
+        assert len({len(xs) for _, xs in lanes}) > 1
+        # no lanes: no roots, and f is not called
+        rounds.clear()
+        roots = sweep.brentq(f, np.empty(0), np.empty(0), 1e-12)
+        assert isinstance(roots, np.ndarray) and roots.shape == (0,) and not rounds
 
 
 def test_run_path_does_not_import_scipy_optimize(tmp_path):

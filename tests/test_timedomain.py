@@ -125,6 +125,14 @@ class TestLockin:
 
 
 class TestIntegration:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_is_rejected(self, atom, bad):
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        mod = make_modulation(a=0.2, omega_m=derive_couplings(atom, spec).Gamma_g_tilde)
+        match = f"^integrate_ground_state.delta must be finite, got {bad}$"
+        with pytest.raises(ParameterError, match=match):
+            integrate_ground_state(atom, spec, mod, bad)
+
     @pytest.mark.parametrize("w_frac, spp", [(2.0, 200), (0.5, 629)])
     def test_fixed_step_rule(self, atom, w_frac, spp):
         # dt <= (2 pi/omega_m)/200 and dt <= 0.02/Gamma_g_tilde, over 4 periods
@@ -220,6 +228,21 @@ class TestIntegration:
         assert kappa(atom, c, 0.5, 0.5, 0.5 + 0j) == pytest.approx(
             0.0, abs=1e-12 * c.calV_L**2
         )
+
+
+class TestTotalProduct:
+    """The pairwise reduction that carries a chunk to the period map."""
+
+    @pytest.mark.parametrize("length", [*range(1, 34), 1000, 1023, 1025, 4096])
+    def test_equals_the_scans_last_entry(self, atom, length):
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        c = derive_couplings(atom, spec)
+        gt = c.Gamma_g_tilde
+        maps = timedomain._rk4_step_maps(
+            c, 0.01 * gt, 0.3 * gt, 0.4 * gt, 0.02 / gt, 5, 5 + length
+        )
+        total = timedomain._total_product(maps)
+        assert np.array_equal(total, timedomain._prefix_products(maps)[-1])
 
 
 class TestChunkedPeriod:
