@@ -16,8 +16,8 @@ lock-in references; `solve_fourier_amplitudes` and `harmonic_signals` are
 the one-shot forms of the same assembly, solve and projection.  Its lock-in
 weights and exact power slope are numpy expressions written once for
 floats (one spectrum) and for arrays over lanes of spectra: a call solves
-every lane in one batch (a sweep grid's crossings), `step` one lane (the
-servo's steps).
+every lane in one batch (a sweep grid's crossings), `servo` steps an
+integral servo through the lanes one solve at a time.
 `linearized_signals` evaluates the closed-form small-signal
 limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
@@ -39,6 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     AtomParams,
@@ -110,11 +111,10 @@ _TABLE[_PARAM, 15 * _ROW + _COL] = _COEF
 _TABLE[SD, 16 * _COHERENCE] = 1.0
 
 
-def _fourier_matrix(params) -> np.ndarray:
+def _fourier_matrix(params: np.ndarray) -> np.ndarray:
     """A for parameters (Gamma_g_tilde, K, a*omega_m, omega_m, sd), or one
     A per row of parameters of shape (n, 5)."""
-    p = np.asarray(params, dtype=float)
-    return (p @ _TABLE).reshape(p.shape[:-1] + (15, 15))
+    return (params @ _TABLE).reshape(params.shape[:-1] + (15, 15))
 
 
 def _system(couplings: DerivedCouplings, modulation: ModulationParams):
@@ -134,17 +134,29 @@ def _system(couplings: DerivedCouplings, modulation: ModulationParams):
     return params, b
 
 
+# The gufunc `np.linalg.solve` calls for a vector b, minus the wrapper's
+# conversions, which cost more than a 15x15 solve (private numpy API, used
+# only here).  Under `_SOLVING`, as in the wrapper, a singular A raises.
+_solve1 = _umath_linalg.solve1
+_SOLVING = dict(all="ignore", invalid="raise")
+
+
+def _singular(A: np.ndarray, width, omega_m: float) -> ParameterError:
+    """The error of a singular A, named at the worst lane of a stack."""
+    cond = np.linalg.cond(A).ravel()
+    k = int(np.argmax(cond))
+    return ParameterError(
+        f"Fourier-amplitude system singular (cond = {cond[k]:.3g}); "
+        f"Gamma_g_tilde = {np.ravel(width)[k]}, omega_m = {omega_m}"
+    )
+
+
 def _solve(A: np.ndarray, b: np.ndarray, width, omega_m: float) -> np.ndarray:
     try:
-        if b.ndim == 1:
-            return np.linalg.solve(A, b)
-        # numpy 2 reads a stack of vectors b of shape (n, 15) as one matrix
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:  # unreachable for Gamma_g_tilde > 0
-        raise ParameterError(
-            f"Fourier-amplitude system singular (cond = {np.linalg.cond(A):.3g}); "
-            f"Gamma_g_tilde = {width}, omega_m = {omega_m}"
-        ) from exc
+        with np.errstate(**_SOLVING):
+            return _solve1(A, b)
+    except FloatingPointError as exc:  # unreachable for Gamma_g_tilde > 0
+        raise _singular(A, width, omega_m) from exc
 
 
 def _truncation_warning(modulation: ModulationParams) -> str:
@@ -208,8 +220,8 @@ class HarmonicSignal:
     `couplings` holds floats for one spectrum, or numpy arrays over lanes
     j (P shared) for many: delta, the width and the power slope are then
     arrays over the lanes, each evaluation is one batched solve, and every
-    lane equals the signal of its own spectrum bit for bit.  `step(j,
-    delta)` evaluates lane j alone, so no 15x15 matrix is held per lane.
+    lane equals the signal of its own spectrum bit for bit.  `servo`
+    evaluates one lane per step, so no 15x15 matrix is held per lane.
     """
 
     def __init__(
@@ -232,14 +244,34 @@ class HarmonicSignal:
         S, Q = _project(self._weights, self._amplitudes(delta)[1].T)
         return S * self._cos - Q * self._sin
 
-    def step(self, j: int, delta: float) -> float:
-        """S(delta) of lane j alone: one 15x15 solve and its projection."""
-        cp, p = self.couplings, self._params[j]
-        p[SD] = 2.0 * delta + cp.delta_r[j] + cp.delta_nr[j]
-        x = _solve(_fourier_matrix(p), self.b[j], p[GT], p[W])
+    def servo(self, delta: float, gain: float, slope: float, capture: float):
+        """Integral servo through the lanes, one step and one solve each.
+
+        Step j records delta, returns (deltas, j) if |delta| > capture, and
+        sets delta to delta - gain * S_j(delta) / (2 slope); (deltas, None)
+        if the lock holds.  The loop is one `_SOLVING` scope; its scalar
+        arithmetic is on Python floats, so only a solve can raise in it."""
+        cp, params, b = self.couplings, self._params, self.b
         pref, dV2, VV = self._weights
-        S, Q = _project((pref, dV2[j], VV[j]), x.tolist())
-        return S * self._cos - Q * self._sin
+        # a memoryview of a float array yields Python floats, one at a time
+        lanes = zip(*map(memoryview, (cp.delta_r, cp.delta_nr, dV2, VV)))
+        delta, gain, slope = float(delta), float(gain), float(slope)
+        deltas = np.empty(len(b))
+        with np.errstate(**_SOLVING):
+            for j, (delta_r, delta_nr, dv2, vv) in enumerate(lanes):
+                if abs(delta) > capture:
+                    return deltas[:j], j
+                deltas[j] = delta
+                params[j, SD] = 2.0 * delta + delta_r + delta_nr
+                A = _fourier_matrix(params[j])
+                try:
+                    x = _solve1(A, b[j]).tolist()
+                except FloatingPointError as exc:
+                    raise _singular(A, self.width[j], self.modulation.omega_m) from exc
+                S, Q = _project((pref, dv2, vv), x)
+                S = S * self._cos - Q * self._sin
+                delta = delta - gain * S / (2.0 * slope)
+        return deltas, None
 
     def power_sensitivity(self, delta0):
         """d(delta_0)/ds at a crossing delta0, for the power scale E^2 -> s E^2.

@@ -694,9 +694,10 @@ class ServoScenario:
     One servo step per modulation period.  `gain` is the integral gain per
     step (closed-loop time constant 1/gain steps); the intensity factor is
     1 + depth * sin(2 pi j / intensity_period_steps), and the ramp must be
-    slow against the intensity period for a clean demodulation.  The servo
-    locks on at the zero crossing of the start spectrum and loses lock once
-    |delta| exceeds that spectrum's Gamma_g_tilde.
+    slow against the intensity period for a clean demodulation, and span
+    at least one period, the response window.  The servo locks on at the
+    zero crossing of the start spectrum and loses lock once |delta| exceeds
+    that spectrum's Gamma_g_tilde.
     """
 
     m_start: float
@@ -737,6 +738,11 @@ class ServoScenario:
                 f"intensity_period_steps must be >= 8, got "
                 f"{self.intensity_period_steps}"
             )
+        if self.intensity_period_steps > self.n_steps:
+            raise ParameterError(
+                f"intensity_period_steps = {self.intensity_period_steps} exceeds "
+                f"n_steps = {self.n_steps}: the response needs one full period"
+            )
 
 
 @dataclass(frozen=True)
@@ -775,8 +781,8 @@ def servo_lock_experiment(
     `family` is a `bessel_family`.  Step j's spectrum is family(m_j) scaled
     by intensity_j, and every step's couplings are built up front in one
     numpy pass (`BesselFamily.amplitudes` and `couplings`), so memory grows
-    with n_steps.  Only delta is stepped in Python, by one
-    `HarmonicSignal.step` solve per step; the trace equals that of calling
+    with n_steps.  Only delta is stepped in Python, by `HarmonicSignal.servo`
+    with one 15x15 solve per step; the trace equals that of calling
     `harmonic_signals` on each step's spectrum, bit for bit.
     """
     if not isinstance(family, BesselFamily):
@@ -796,15 +802,7 @@ def servo_lock_experiment(
     intensity = 1.0 + scenario.intensity_depth * np.sin(phases)
     amps = family.amplitudes(ms) * np.sqrt(intensity)
     steps = HarmonicSignal(atom, family.couplings(atom, amps), modulation)
-    deltas = np.empty(n)
-    lost_at: int | None = None
-    for j in range(n):
-        deltas[j] = delta
-        if abs(delta) > capture:
-            lost_at = j
-            break
-        S = steps.step(j, delta)
-        delta = delta - scenario.gain * S / (2.0 * ref.A)
+    deltas, lost_at = steps.servo(delta, scenario.gain, ref.A, capture)
     return _servo_trace(
         ms, intensity, deltas, lost_at, scenario.intensity_period_steps
     )

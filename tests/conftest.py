@@ -125,12 +125,21 @@ def kappa(atom, couplings, rho22, rho11, rho21):
     )
 
 
+def public_solve(A, b, width=None, omega_m=None):
+    """`harmonic._solve` spelled with public numpy: `np.linalg.solve`, which
+    reads b as a stack of matrices unless it is a single vector."""
+    if b.ndim == 1:
+        return np.linalg.solve(A, b)
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
 def reference_servo_trace(atom, modulation, family, scenario):
     """`servo_lock_experiment` stepped one spectrum at a time.
 
     Each step builds family(m_j).scaled(intensity_j) and calls
     `harmonic_signals` on it; the batched servo must reproduce this trace
-    exactly.
+    exactly.  Patch `harmonic._solve` with `public_solve` to make every
+    step's solve a `np.linalg.solve`.
     """
     start_spectrum = family(scenario.m_start)
     ref = asymmetry_shift(atom, start_spectrum, modulation)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from conftest import (
     make_atom,
     make_modulation,
     make_spectrum,
+    public_solve,
 )
 from cptsim import (
     ModulationParams,
+    ParameterError,
     asymmetry_shift,
     bessel_spectrum,
     derive_couplings,
@@ -27,6 +30,7 @@ from cptsim import (
     linearized_signals,
     lockin,
     make_signal_function,
+    solve_fourier_amplitudes,
     zero_crossing,
 )
 from cptsim.core import amplitude_couplings
@@ -319,23 +323,75 @@ class TestHarmonicLanes:
 
     @pytest.mark.parametrize("w_frac, alpha", [(0.1, 0.0), (0.5, 0.4), (1.5, -0.9)])
     def test_lanes_equal_one_spectrum_signals(self, atom, w_frac, alpha):
-        rng = random.Random(22)
-        specs = [
-            bessel_spectrum(
-                rng.uniform(1.6, 3.4), rng.uniform(-0.4, 0.4), 5,
-                POWER * rng.uniform(0.5, 1.5), OMEGA,
-            )
-            for _ in range(40)
-        ]
-        gt = derive_couplings(atom, specs[0]).Gamma_g_tilde
-        mod = ModulationParams(a=0.2, omega_m=w_frac * gt, alpha=alpha)
-        amps = {k: np.array([s.components[k] for s in specs]) for k in range(-5, 6)}
-        lanes = harmonic.HarmonicSignal(atom, amplitude_couplings(atom, amps, OMEGA), mod)
+        lanes, specs, deltas, mod = random_lanes(atom, w_frac, alpha)
         singles = [make_signal_function(atom, s, mod) for s in specs]
-        deltas = [rng.uniform(-gt, gt) for _ in specs]
         S = [float(one(d)) for one, d in zip(singles, deltas)]
         assert lanes(np.array(deltas)).tolist() == S
-        assert [float(lanes.step(j, d)) for j, d in enumerate(deltas)] == S
         assert lanes.power_sensitivity(np.array(deltas)).tolist() == [
             float(one.power_sensitivity(d)) for one, d in zip(singles, deltas)
         ]
+        # the servo steps lane j at the delta left by lanes 0 .. j-1
+        gain, slope = 0.5, asymmetry_shift(atom, specs[0], mod).A
+        expected, delta = [], deltas[0]
+        for one in singles:
+            expected.append(delta)
+            delta = delta - gain * float(one(delta)) / (2.0 * slope)
+        servo_deltas, lost_at = lanes.servo(deltas[0], gain, slope, math.inf)
+        assert (servo_deltas.tolist(), lost_at) == (expected, None)
+
+
+def random_lanes(atom, w_frac, alpha, n=40):
+    """(HarmonicSignal over n random spectra, the spectra, a random delta
+    per lane, the modulation)."""
+    rng = random.Random(22)
+    specs = [
+        bessel_spectrum(
+            rng.uniform(1.6, 3.4), rng.uniform(-0.4, 0.4), 5,
+            POWER * rng.uniform(0.5, 1.5), OMEGA,
+        )
+        for _ in range(n)
+    ]
+    gt = derive_couplings(atom, specs[0]).Gamma_g_tilde
+    mod = ModulationParams(a=0.2, omega_m=w_frac * gt, alpha=alpha)
+    amps = {k: np.array([s.components[k] for s in specs]) for k in range(-5, 6)}
+    lanes = harmonic.HarmonicSignal(atom, amplitude_couplings(atom, amps, OMEGA), mod)
+    return lanes, specs, [rng.uniform(-gt, gt) for _ in specs], mod
+
+
+class TestSolve:
+    """`harmonic._solve` calls numpy's solve gufunc without its wrapper."""
+
+    def test_equals_public_numpy_solve(self, atom, monkeypatch):
+        solve, calls = harmonic._solve, []
+
+        def record(A, b, width, omega_m):
+            calls.append((A, b))
+            return public_solve(A, b)
+
+        monkeypatch.setattr(harmonic, "_solve", record)
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        mod = make_modulation(omega_m=0.5 * derive_couplings(atom, spec).Gamma_g_tilde)
+        solve_fourier_amplitudes(derive_couplings(atom, spec), 1e3, mod)
+        lanes, _, deltas, _ = random_lanes(atom, 0.5, 0.4)
+        lanes.power_sensitivity(np.array(deltas))
+        one, stack, transposed = calls
+        assert one[1].ndim == 1 and stack[1].shape == transposed[1].shape == (40, 15)
+        assert not transposed[0].flags.c_contiguous
+        for A, b in calls:
+            x = solve(A, b, None, None)
+            assert np.array_equal(x, public_solve(A, b)), A.shape
+
+    def test_singular_system_raises_parameter_error(self, atom, monkeypatch):
+        lanes, _, deltas, _ = random_lanes(atom, 0.5, 0.4, n=4)
+        monkeypatch.setattr(harmonic, "_TABLE", np.zeros_like(harmonic._TABLE))
+        before = np.geterr()
+        match = r"singular \(cond = inf\); Gamma_g_tilde = \S+, omega_m = \S+$"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParameterError, match=match):
+                lanes(np.array(deltas))
+            assert np.geterr() == before
+            with pytest.raises(ParameterError, match=match):
+                lanes.servo(deltas[0], 0.5, 1.0, math.inf)
+            assert np.geterr() == before
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1012,14 +1012,23 @@ class TestServo:
     def test_scenario_validation(self):
         with pytest.raises(ParameterError):
             ServoScenario(m_start=2.0, m_stop=3.0, n_steps=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="gain must be >= 0"):
             ServoScenario(m_start=2.0, m_stop=3.0, n_steps=100, gain=-0.1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="intensity_depth must be in"):
             ServoScenario(m_start=2.0, m_stop=3.0, n_steps=100, intensity_depth=1.0)
         with pytest.raises(ParameterError):
             ServoScenario(
                 m_start=2.0, m_stop=3.0, n_steps=100, intensity_period_steps=4
             )
+
+    def test_run_shorter_than_one_intensity_period_is_rejected(self):
+        # it used to return an empty response and lock_lost=False
+        match = "intensity_period_steps = 400 exceeds n_steps = 100"
+        with pytest.raises(ParameterError, match=match):
+            ServoScenario(2.0, 3.2, 100)
+        scen = ServoScenario(2.4, 2.5, 100, intensity_period_steps=100)
+        trace = servo_lock_experiment(self.atom, self.mod, self.family, scen)
+        assert trace.response_m.size == 1
 
     @pytest.mark.parametrize(
         "field, value", [("n_steps", 3000.5), ("intensity_period_steps", 400.0)]
@@ -1058,8 +1067,10 @@ class TestServo:
                 self.atom, self.mod, lambda m: self.family(m), scen
             )
 
-    def assert_trace_equals_reference(self, mod, family, scen):
+    def assert_trace_equals_reference(self, mod, family, scen, patch=None):
         trace = servo_lock_experiment(self.atom, mod, family, scen)
+        if patch is not None:
+            patch()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a > 0.5 warns at every step
             ref = reference_servo_trace(self.atom, mod, family, scen)
@@ -1080,6 +1091,21 @@ class TestServo:
         )
         trace = self.assert_trace_equals_reference(mod, family, scen)
         assert not trace.lock_lost and trace.response_m.size == 11
+
+    @pytest.mark.parametrize("alpha, gain", [(0.6, 0.05), (0.0, 8.0)])
+    def test_trace_equals_public_numpy_reference(self, alpha, gain, monkeypatch):
+        # the servo calls numpy's solve gufunc itself; with harmonic._solve
+        # patched, every step of the reference is a np.linalg.solve
+        mod = make_modulation(a=0.2, omega_m=0.5 * self.gt, alpha=alpha)
+        scen = ServoScenario(
+            m_start=2.4, m_stop=2.5, n_steps=400, gain=gain,
+            intensity_period_steps=100,
+        )
+        trace = self.assert_trace_equals_reference(
+            mod, self.family, scen,
+            patch=lambda: monkeypatch.setattr(harmonic, "_solve", conftest.public_solve),
+        )
+        assert trace.lock_lost == (gain > 2.0)
 
     def test_fixed_m_trace_equals_stepwise_reference(self):
         scen = ServoScenario(
