@@ -25,7 +25,7 @@ from pydantic import (
 
 from .core import AtomParams, FieldSpectrum, ModulationParams, bessel_spectrum
 from .sweep import SignalPath, symmetrizing_detuning
-from .thick import CellParams
+from .thick import MAX_SLABS, CellParams
 
 __all__ = [
     "ConfigError",
@@ -160,7 +160,7 @@ class SpectrumConfig(_Block):
 class CellConfig(_Block):
     length_m: float = Field(gt=0)
     beta_per_m: float = Field(default=0.0, ge=0)
-    n_slabs: int = Field(default=64, ge=8)
+    n_slabs: int = Field(default=64, ge=8, le=MAX_SLABS)
 
     def to_params(self, beta_per_m: float | None = None) -> CellParams:
         beta = self.beta_per_m if beta_per_m is None else beta_per_m

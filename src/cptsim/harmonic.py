@@ -10,14 +10,14 @@ detuning-modulation couplings a*omega_m between retained harmonics kept;
 only the coupling to the discarded |k| = 3 tail is neglected, an O(a^3)
 error in the first-harmonic amplitudes.
 
-`HarmonicSignal` assembles the resulting 15x15 linear system once per
-spectrum, solves it at each detuning and projects the amplitudes onto the
-lock-in references; `solve_fourier_amplitudes` and `harmonic_signals` are
-the one-shot forms of the same assembly, solve and projection.  Its lock-in
-weights and exact power slope are numpy expressions written once for
-floats (one spectrum) and for arrays over lanes of spectra: a call solves
-every lane in one batch (a sweep grid's crossings), `servo` steps an
-integral servo through the lanes one solve at a time.
+`HarmonicSignal` assembles the system that `_generate_table` writes from
+its two equations once per spectrum, solves it at each detuning and
+projects the amplitudes onto the lock-in references; the one-shot
+`solve_fourier_amplitudes` and `harmonic_signals` do the same.  Its lock-in
+weights and exact power slope are numpy expressions written once for floats
+(one spectrum) and for arrays over lanes of spectra: a call solves every
+lane in one batch (a sweep grid's crossings), `servo` steps an integral
+servo through the lanes one solve at a time.
 `linearized_signals` evaluates the closed-form small-signal
 limit of the same system (first order in a, K and 2*delta_tilde), and
 `asymmetry_shift` reports the zero-crossing budget it implies.  In that
@@ -49,6 +49,7 @@ from .core import (
     ModulationParams,
     ParameterError,
     derive_couplings,
+    require_finite,
 )
 
 __all__ = [
@@ -62,59 +63,59 @@ __all__ = [
 ]
 
 
-# Unknown ordering: [ReC0, ImC0, ReC1, ImC1, ReCm1, ImCm1,
-#                    ReC2, ImC2, ReCm2, ImCm2, G0, ReG1, ImG1, ReG2, ImG2]
-RC0, IC0, RC1, IC1, RCm1, ICm1 = 0, 1, 2, 3, 4, 5
-RC2, IC2, RCm2, ICm2, G0, RG1, IG1, RG2, IG2 = 6, 7, 8, 9, 10, 11, 12, 13, 14
-# Every matrix entry is a multiple of one of these (parameter vector order);
-# SD, the dressed detuning, adds to the diagonal of the ten coherence rows.
+# The order of the unknowns x, written once: C[k] and G[k] are the (Re, Im)
+# positions of C_k and G_k.  G_0 is real and has no Im position.
+HARMONICS = 2
+_ORDERS = (0,) + tuple(s * k for k in range(1, HARMONICS + 1) for s in (1, -1))
+C = {k: (2 * i, 2 * i + 1) for i, k in enumerate(_ORDERS)}
+_G0 = 2 * len(_ORDERS)
+G = {k: (_G0 + 2 * k - 1, _G0 + 2 * k) if k else (_G0, None)
+     for k in range(HARMONICS + 1)}
+SIZE = _G0 + 2 * HARMONICS + 1
+_LOCKIN = G[1] + C[1] + C[-1]  # (Re, Im) of the amplitudes the lock-in sees
+# A is linear in the parameters (Gamma_g_tilde, K, a*omega_m, omega_m, sd)
 GT, K, AW, W, SD = 0, 1, 2, 3, 4
 
-# The 15 rows at zero dressed detuning sd, as (column, coefficient,
-# parameter) entries over (Gamma_g_tilde, K, a*omega_m, omega_m).
-FOURIER_ROWS = (
-    # Coherence at DC, sourced by V_LR and the population difference.
-    ((IC0, -1, GT), (RC1, 1, AW), (RCm1, 1, AW), (G0, -2, K)),
-    ((RC0, 1, GT), (IC1, 1, AW), (ICm1, 1, AW)),
-    # Coherence at +-omega_m, driven by the modulation of the detuning.
-    ((RC1, 1, W), (IC1, -1, GT), (RC0, 1, AW), (RC2, 1, AW), (RG1, -2, K)),
-    ((RC1, 1, GT), (IC1, 1, W), (IC0, 1, AW), (IC2, 1, AW), (IG1, -2, K)),
-    ((RCm1, -1, W), (ICm1, -1, GT), (RC0, 1, AW), (RCm2, 1, AW), (RG1, -2, K)),
-    ((RCm1, 1, GT), (ICm1, -1, W), (IC0, 1, AW), (ICm2, 1, AW), (IG1, 2, K)),
-    # Coherence at +-2 omega_m.
-    ((RC2, 2, W), (IC2, -1, GT), (RC1, 1, AW), (RG2, -2, K)),
-    ((RC2, 1, GT), (IC2, 2, W), (IC1, 1, AW), (IG2, -2, K)),
-    ((RCm2, -2, W), (ICm2, -1, GT), (RCm1, 1, AW), (RG2, -2, K)),
-    ((RCm2, 1, GT), (ICm2, -2, W), (ICm1, 1, AW), (IG2, 2, K)),
-    # Static population of |2>: pumping balance against total relaxation.
-    ((G0, 1, GT), (IC0, -2, K)),
-    ((RG1, 1, W), (IG1, -1, GT), (RC1, -1, K), (RCm1, 1, K)),
-    ((RG1, 1, GT), (IG1, 1, W), (IC1, -1, K), (ICm1, -1, K)),
-    ((RG2, 2, W), (IG2, -1, GT), (RC2, -1, K), (RCm2, 1, K)),
-    ((RG2, 1, GT), (IG2, 2, W), (IC2, -1, K), (ICm2, -1, K)),
-)
-_ROW, _COL, _COEF, _PARAM = (
-    np.array(column)
-    for column in zip(*(
-        (i, j, float(coef), param)
-        for i, entries in enumerate(FOURIER_ROWS)
-        for j, coef, param in entries
-    ))
-)
-_COHERENCE = np.arange(10)
-# A(sd) flattened is (Gamma_g_tilde, K, a*omega_m, omega_m, sd) @ _TABLE.
-# Every coefficient is 0, +-1 or +-2 and an entry has at most two nonzero
-# terms (one parameter, plus sd on the diagonal), so each entry is rounded
-# once, as when it is written out term by term.
-_TABLE = np.zeros((5, 15 * 15))
-_TABLE[_PARAM, 15 * _ROW + _COL] = _COEF
-_TABLE[SD, 16 * _COHERENCE] = 1.0
+
+def _generate_table() -> np.ndarray:
+    """A(sd) flattened is (Gamma_g_tilde, K, a*omega_m, omega_m, sd) @ table:
+    the Re and Im parts of each amplitude's equation, in the rows of its
+    positions.  An entry is a small integer times one parameter (plus sd on
+    the diagonal), so it is rounded once, as when written term by term."""
+    entries = np.zeros((5, SIZE, SIZE))
+
+    def add(rows, z, coefs, conj=False):  # sum of coef * param, times (conj) z
+        for param, coef in coefs.items():
+            for col, unit in zip(z, (1, -1j if conj else 1j)):
+                w = coef * unit  # per unit of the column's Re or Im part
+                for row, v in zip(rows, (w.real, w.imag)):
+                    if v and None not in (row, col):
+                        entries[param, row, col] += v  # at k = 0 both K terms add
+
+    # (sd + k omega_m + i Gamma_g_tilde) C_k + a omega_m (C_{k-1} + C_{k+1})
+    # - 2 K G_|k|, with conj G_|k| for k < 0 and C_{+-(HARMONICS+1)} dropped
+    for k, z in C.items():
+        add(z, z, {SD: 1, W: k, GT: 1j})
+        for j in C.keys() & {k - 1, k + 1}:
+            add(z, C[j], {AW: 1})
+        add(z, G[abs(k)], {K: -2}, conj=k < 0)
+    # (k omega_m + i Gamma_g_tilde) G_k - K (C_k - conj C_{-k}); at k = 0
+    # the Im part, Gamma_g_tilde G_0 - 2 K Im C_0, is the pumping balance
+    for k, z in G.items():
+        rows = z if k else (None, _G0)
+        add(rows, z, {W: k, GT: 1j})
+        add(rows, C[k], {K: -1})
+        add(rows, C[-k], {K: 1}, conj=True)
+    return entries.reshape(5, SIZE * SIZE)
+
+
+_TABLE = _generate_table()
 
 
 def _fourier_matrix(params: np.ndarray) -> np.ndarray:
     """A for parameters (Gamma_g_tilde, K, a*omega_m, omega_m, sd), or one
     A per row of parameters of shape (n, 5)."""
-    return (params @ _TABLE).reshape(params.shape[:-1] + (15, 15))
+    return (params @ _TABLE).reshape(params.shape[:-1] + (SIZE, SIZE))
 
 
 def _system(couplings: DerivedCouplings, modulation: ModulationParams):
@@ -127,15 +128,14 @@ def _system(couplings: DerivedCouplings, modulation: ModulationParams):
     params[..., GT], params[..., K] = c.Gamma_g_tilde, c.K
     params[..., AW] = modulation.a * modulation.omega_m
     params[..., W] = modulation.omega_m
-    b = np.zeros(np.shape(c.K) + (15,))
-    b[..., 0] = -c.K
-    b[..., 1] = c.V_LR
-    b[..., 10] = c.V_R + (c.Gamma_g_tilde - c.V_L - c.V_R) / 2.0
+    b = np.zeros(np.shape(c.K) + (SIZE,))
+    b[..., C[0][0]], b[..., C[0][1]] = -c.K, c.V_LR
+    b[..., _G0] = c.V_R + (c.Gamma_g_tilde - c.V_L - c.V_R) / 2.0
     return params, b
 
 
 # The gufunc `np.linalg.solve` calls for a vector b, minus the wrapper's
-# conversions, which cost more than a 15x15 solve (private numpy API, used
+# conversions, which cost more than a Fourier solve (private numpy API, used
 # only here).  Under `_SOLVING`, as in the wrapper, a singular A raises.
 _solve1 = _umath_linalg.solve1
 _SOLVING = dict(all="ignore", invalid="raise")
@@ -175,10 +175,11 @@ def solve_fourier_amplitudes(
 
     `delta` is half the two-photon detuning from the unperturbed 0-0
     resonance; the light shifts delta_r and delta_nr are added internally.
-    Returns the 15 amplitudes C_k, G_k, indexed by the row constants RC0 ... IG2.
+    Returns the SIZE amplitudes, placed by the (Re, Im) map C[k], G[k].
     The |k| <= 2 truncation leaves an O(a^3) residual in the first
     harmonics; a > 0.5 is accepted but outside the trusted regime.
     """
+    require_finite("solve_fourier_amplitudes", delta=delta)
     if modulation.beyond_recommended_index:
         warnings.warn(_truncation_warning(modulation), stacklevel=2)
     c = couplings
@@ -202,8 +203,9 @@ def _project(weights, x: np.ndarray):
     With the 2/T lock-in convention, a pure c*cos(omega_m t) yields S = c.
     """
     pref, dV2, VV = weights
-    S = pref * (dV2 * x[RG1] - VV * (x[RC1] + x[RCm1]))
-    Q = pref * (dV2 * x[IG1] - VV * (x[IC1] - x[ICm1]))
+    rg, ig, rc, ic, rcm, icm = _LOCKIN
+    S = pref * (dV2 * x[rg] - VV * (x[rc] + x[rcm]))
+    Q = pref * (dV2 * x[ig] - VV * (x[ic] - x[icm]))
     return S, Q
 
 
@@ -213,7 +215,7 @@ class HarmonicSignal:
     The dressed detuning sd = 2 delta + delta_r + delta_nr enters the
     Fourier system only on the coherence diagonals, so the parameter row of
     A and b are built once, and each evaluation sets sd in the row,
-    assembles A from `_TABLE` and makes one 15x15 solve.  S
+    assembles A from `_TABLE` and makes one solve.  S
     equals `harmonic_signals(...).S` bit for bit.  It does not warn when
     a > 0.5; `make_signal_function` and a sweep's lanes do, once.
 
@@ -221,7 +223,7 @@ class HarmonicSignal:
     j (P shared) for many: delta, the width and the power slope are then
     arrays over the lanes, each evaluation is one batched solve, and every
     lane equals the signal of its own spectrum bit for bit.  `servo`
-    evaluates one lane per step, so no 15x15 matrix is held per lane.
+    evaluates one lane per step, so no matrix is held per lane.
     """
 
     def __init__(
@@ -283,23 +285,23 @@ class HarmonicSignal:
         c^T A^-1 b = 0, with x = A^-1 b and y = A^-T c, gives
         d(delta_0)/ds = y^T (b1 - A1 x - x0 J x) / (2 y^T J x).
         Divide by E^2 for d(delta_0)/dE^2; -2 y^T J x is dS/d(delta) at the
-        root.  The terms stack over lanes on a last axis of 15: `np.vecdot`
+        root.  The terms stack over lanes on a last axis of SIZE: `np.vecdot`
         and the stacked `A1 @ x` round as one spectrum's `@` does.
         """
         cp = self.couplings
         # c^T x = S cos(alpha) - Q sin(alpha), the in-phase signal
         pref, dV2, VV = self._weights
-        c = np.zeros(np.shape(dV2) + (15,))
-        c[..., [RG1, RC1, RCm1]] = pref * self._cos * np.stack([dV2, -VV, -VV], -1)
-        c[..., [IG1, IC1, ICm1]] = -pref * self._sin * np.stack([dV2, -VV, VV], -1)
+        c = np.zeros(np.shape(dV2) + (SIZE,))
+        c[..., _LOCKIN[::2]] = pref * self._cos * np.stack([dV2, -VV, -VV], -1)
+        c[..., _LOCKIN[1::2]] = -pref * self._sin * np.stack([dV2, -VV, VV], -1)
         A, x = self._amplitudes(delta0)
         y = _solve(np.swapaxes(A, -1, -2), c, self.width, self.modulation.omega_m)
         p1 = np.zeros_like(self._params)
         p1[..., GT], p1[..., K] = cp.V_L + cp.V_R, cp.K
         b1 = np.zeros_like(x)
-        b1[..., 0], b1[..., 1], b1[..., 10] = -cp.K, cp.V_LR, cp.V_R
+        b1[..., C[0][0]], b1[..., C[0][1]], b1[..., _G0] = -cp.K, cp.V_LR, cp.V_R
         Jx = np.zeros_like(x)
-        Jx[..., _COHERENCE] = x[..., _COHERENCE]
+        Jx[..., :_G0] = x[..., :_G0]  # the C_k, whose rows hold sd
         x0 = np.expand_dims(cp.delta_r + cp.delta_nr, -1)
         r = b1 - (_fourier_matrix(p1) @ x[..., None])[..., 0] - x0 * Jx
         return np.vecdot(y, r) / (2.0 * np.vecdot(y, Jx))

@@ -49,6 +49,11 @@ __all__ = [
     "averaged_signal",
 ]
 
+# A thick lane batch holds arrays of lanes x slabs, about 150 KiB per lane
+# per 1,024 slabs at its peak (tracemalloc): 0.6 GiB for a sweep's largest
+# batch, 1,024 lanes, at this bound.
+MAX_SLABS = 4096
+
 
 @dataclass(frozen=True)
 class CellParams:
@@ -70,8 +75,10 @@ class CellParams:
             raise ParameterError(f"cell length must be positive, got {self.length}")
         if self.beta < 0:
             raise ParameterError(f"beta must be >= 0, got {self.beta}")
-        if self.n_slabs < 8:
-            raise ParameterError(f"n_slabs must be >= 8, got {self.n_slabs}")
+        if not 8 <= self.n_slabs <= MAX_SLABS:
+            raise ParameterError(
+                f"n_slabs must be in [8, {MAX_SLABS}], got {self.n_slabs}"
+            )
 
 
 # A thin point: a transparent cell, one slab holding the couplings exactly.
@@ -150,6 +157,7 @@ def averaged_signal(
     point).  Each regime warning of the linearized form is reported once,
     at its worst slab.
     """
+    require_finite("averaged_signal", delta=delta)
     c = derive_couplings(atom, spectrum)
     signal = cell_signal(atom, c, spectrum.Omega, modulation, cell, allow_asymmetric)
     return signal.signals(delta)

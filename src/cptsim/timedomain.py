@@ -264,6 +264,9 @@ def steady_state_full_lambda(
     (its drive is far off resonance for Omega >> Gamma).  Validates the
     adiabatically eliminated reduced model at low saturation.
     """
+    require_finite(
+        "steady_state_full_lambda", E_minus1=E_minus1, E_plus1=E_plus1, delta=delta
+    )
     if E_minus1 < 0 or E_plus1 < 0:
         raise ParameterError("sideband amplitudes must be >= 0")
     r = atom.dipole_ratio_sq

@@ -95,18 +95,18 @@ def fourier_amplitudes(couplings, delta, modulation) -> SimpleNamespace:
     """Named amplitudes of the `solve_fourier_amplitudes` vector.
 
     C0, C1, Cm1, C2, Cm2 (complex) of rho_21, and G0 (float), G1, G2
-    (complex) of rho_22, read through the harmonic module's row constants.
+    (complex) of rho_22, read through the harmonic module's (Re, Im) map.
     """
     x = solve_fourier_amplitudes(couplings, delta, modulation)
+
+    def amplitude(re, im):
+        return complex(x[re], x[im])
+
+    C, G = harmonic.C, harmonic.G
     return SimpleNamespace(
-        C0=complex(x[harmonic.RC0], x[harmonic.IC0]),
-        C1=complex(x[harmonic.RC1], x[harmonic.IC1]),
-        Cm1=complex(x[harmonic.RCm1], x[harmonic.ICm1]),
-        C2=complex(x[harmonic.RC2], x[harmonic.IC2]),
-        Cm2=complex(x[harmonic.RCm2], x[harmonic.ICm2]),
-        G0=float(x[harmonic.G0]),
-        G1=complex(x[harmonic.RG1], x[harmonic.IG1]),
-        G2=complex(x[harmonic.RG2], x[harmonic.IG2]),
+        C0=amplitude(*C[0]), C1=amplitude(*C[1]), Cm1=amplitude(*C[-1]),
+        C2=amplitude(*C[2]), Cm2=amplitude(*C[-2]),
+        G0=float(x[G[0][0]]), G1=amplitude(*G[1]), G2=amplitude(*G[2]),
     )
 
 

@@ -18,6 +18,7 @@ from cptsim.cli import main
 from cptsim.config import ConfigError, parse_config, serialize_config
 from cptsim.runner import _fmt, emit_csv, run_scenario
 from cptsim.sweep import crossing_and_sensitivity
+from cptsim.thick import MAX_SLABS
 from cptsim.timedomain import integrate_ground_state
 
 TWO_PI = 2.0 * math.pi
@@ -111,6 +112,12 @@ class TestParseConfig:
     def test_rejects_non_finite_floats(self, old, new):
         with pytest.raises(ConfigError, match="finite number"):
             parse_config(BASE_YAML.replace(old, new))
+
+    def test_rejects_slab_count_beyond_the_bound(self):
+        text = BASE_YAML + f"cell:\n  length_m: 0.02\n  n_slabs: {MAX_SLABS + 1}\n"
+        match = f"cell.n_slabs.*less than or equal to {MAX_SLABS}"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="omega_q_mhz"):

@@ -1,5 +1,6 @@
 """Fourier-amplitude solve, lock-in signal assembly, and the closed forms."""
 
+import hashlib
 import math
 import random
 import warnings
@@ -19,9 +20,11 @@ from conftest import (
     public_solve,
 )
 from cptsim import (
+    CellParams,
     ModulationParams,
     ParameterError,
     asymmetry_shift,
+    averaged_signal,
     bessel_spectrum,
     derive_couplings,
     harmonic,
@@ -57,6 +60,76 @@ def stationary_oracle(couplings, two_delta_tilde):
     b = np.array([-K, c.V_LR, c.V_R + GAMMA_G / 2.0])
     x = np.linalg.solve(A, b)
     return complex(x[0], x[1]), x[2]
+
+
+class TestFourierSystem:
+    """The system is generated from its two equations, laid out by one map."""
+
+    def test_table_is_the_hand_written_one_bit_for_bit(self):
+        # the digest of the table that listed its entries row by row
+        table = harmonic._TABLE
+        digest = hashlib.sha256(table.astype("<f8").tobytes()).hexdigest()
+        assert digest == (
+            "5fdfbd3900a3e5c031ac4339d3dcb80e063e7a0b8ed59847a8dc6b4944a59dec"
+        )
+        assert table.flags.c_contiguous and table.shape == (5, harmonic.SIZE**2)
+        assert harmonic.C == {0: (0, 1), 1: (2, 3), -1: (4, 5), 2: (6, 7), -2: (8, 9)}
+        assert harmonic.G == {0: (10, None), 1: (11, 12), 2: (13, 14)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matrix_applies_the_two_equations(self, seed):
+        rng = np.random.default_rng(seed)
+        N = harmonic.HARMONICS
+        gt, aw, w = rng.uniform(0.1, 2.0, 3)
+        K, sd = rng.uniform(0.1, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        Cs = {k: complex(*rng.normal(size=2)) for k in range(-N, N + 1)}
+        Gs = {k: complex(*rng.normal(size=2)) if k else complex(rng.normal())
+              for k in range(N + 1)}
+        x = np.zeros(harmonic.SIZE)
+        for amps, layout in ((Cs, harmonic.C), (Gs, harmonic.G)):
+            for k, (re, im) in layout.items():
+                x[re] = amps[k].real
+                if im is not None:
+                    x[im] = amps[k].imag
+        Ax = harmonic._fourier_matrix(np.array([gt, K, aw, w, sd])) @ x
+
+        def G(k):
+            return Gs[k] if k >= 0 else Gs[-k].conjugate()
+
+        expected = {}
+        for k, (re, im) in harmonic.C.items():  # coherence, C_{+-(N+1)} dropped
+            near = Cs.get(k - 1, 0.0) + Cs.get(k + 1, 0.0)
+            v = (sd + k * w + 1j * gt) * Cs[k] + aw * near - 2 * K * G(k)
+            expected[re], expected[im] = v.real, v.imag
+        for k, (re, im) in harmonic.G.items():  # population
+            v = (k * w + 1j * gt) * Gs[k] - K * (Cs[k] - Cs[-k].conjugate())
+            if k:
+                expected[re], expected[im] = v.real, v.imag
+            else:  # only its Im part is a row, at G_0's position
+                expected[re] = v.imag
+        assert sorted(expected) == list(range(harmonic.SIZE))
+        assert list(Ax) == pytest.approx(
+            [expected[i] for i in range(harmonic.SIZE)], rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_is_rejected(self, atom, bad):
+        # harmonic_signals and linearized_signals check through the other two
+        spec = make_spectrum(m=2.4, epsilon=0.0)
+        c = derive_couplings(atom, spec)
+        mod = make_modulation(a=0.2, omega_m=c.Gamma_g_tilde)
+        cell = CellParams(length=0.02, beta=0.43 / 0.02)
+        solve, average = "solve_fourier_amplitudes", "averaged_signal"
+        calls = [
+            (solve, lambda: solve_fourier_amplitudes(c, bad, mod)),
+            (solve, lambda: harmonic_signals(atom, spec, mod, bad)),
+            (average, lambda: linearized_signals(atom, spec, mod, bad)),
+            (average, lambda: averaged_signal(atom, spec, mod, cell, bad)),
+        ]
+        for owner, call in calls:
+            match = f"^{owner}.delta must be finite, got {bad}$"
+            with pytest.raises(ParameterError, match=match):
+                call()
 
 
 class TestFourierAmplitudes:

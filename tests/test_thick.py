@@ -20,6 +20,7 @@ from cptsim import (
     linearized_signals,
     zero_crossing,
 )
+from cptsim.thick import MAX_SLABS
 
 LENGTH = 0.02
 
@@ -197,6 +198,14 @@ class TestCellParams:
             CellParams(length=0.02, beta=-1.0)
         with pytest.raises(ParameterError):
             CellParams(length=0.02, n_slabs=4)
+
+    @pytest.mark.parametrize("n_slabs", [7, MAX_SLABS + 1, 100_000])
+    def test_slab_count_is_bounded(self, n_slabs):
+        # only the parameters are built: a cell signal grows with its slabs
+        match = rf"^n_slabs must be in \[8, {MAX_SLABS}\], got {n_slabs}$"
+        with pytest.raises(ParameterError, match=match):
+            CellParams(length=0.02, n_slabs=n_slabs)
+        assert CellParams(length=0.02, n_slabs=MAX_SLABS).n_slabs == MAX_SLABS
 
     @pytest.mark.parametrize("n_slabs", [64.5, 64.0, "64"])
     def test_slab_count_must_be_an_integer(self, n_slabs):

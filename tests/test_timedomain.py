@@ -323,6 +323,15 @@ class TestAgainstHarmonicWaveform:
 
 
 class TestFullLambda:
+    @pytest.mark.parametrize("bad", ["E_minus1", "E_plus1", "delta"])
+    def test_non_finite_argument_is_rejected(self, atom, capfd, bad):
+        # a NaN that reaches LAPACK prints a DLASCL error on stderr
+        args = dict(E_minus1=1e6, E_plus1=1e6, delta=0.0) | {bad: math.nan}
+        match = f"^steady_state_full_lambda.{bad} must be finite, got nan$"
+        with pytest.raises(ParameterError, match=match):
+            steady_state_full_lambda(atom, **args)
+        assert capfd.readouterr().err == ""
+
     def test_fields_off_equilibrium(self, atom):
         state = steady_state_full_lambda(atom, 0.0, 0.0, 0.0)
         assert state.rho22 == pytest.approx(0.5, rel=1e-12)
