@@ -184,6 +184,7 @@ class FieldSpectrum:
 
     def scaled(self, power_factor: float) -> "FieldSpectrum":
         """Spectrum with every E_k^2 multiplied by `power_factor` (sigma_k fixed)."""
+        require_finite("FieldSpectrum.scaled", power_factor=power_factor)
         if power_factor < 0:
             raise ParameterError(f"power factor must be >= 0, got {power_factor}")
         root = math.sqrt(power_factor)
@@ -353,8 +354,7 @@ def amplitude_couplings(
     K = E_L * E_R * (disp_u + r * disp_d)
     delta_r = -(E_L * E_L - E_R * E_R) * (disp_u + r * disp_d)
     terms = list(_nonresonant_terms(atom, amplitudes, Omega).values())
-    many = isinstance(E_L, np.ndarray)
-    delta_nr = _fsum_columns(terms) if many else math.fsum(terms)
+    delta_nr = _fsum_columns(terms) if np.ndim(E_L) else math.fsum(terms)
     P = atom.Gamma * lor_u + atom.Gamma * lor_d
 
     return DerivedCouplings(
@@ -391,11 +391,10 @@ def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.n
     """
     from scipy.special import jv
 
-    many = isinstance(m, np.ndarray)
     for depth in np.ravel(m).tolist():
         if not math.isfinite(depth):
             raise ParameterError(f"modulation depth m must be finite, got {depth}")
-    lowest = np.min(m) if many else m
+    lowest = np.min(m)
     if lowest < 0:
         raise ParameterError(f"modulation depth m must be >= 0, got {lowest}")
     if not -1.0 < epsilon < 1.0:
@@ -407,14 +406,13 @@ def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.n
     if total_power <= 0:
         raise ParameterError(f"total_power must be positive, got {total_power}")
 
-    j = np.abs(jv(range(k_max + 1), m[:, None] if many else m))
+    j = np.abs(jv(range(k_max + 1), np.asarray(m)[..., None]))  # depths, then k
     amps = j.T[_mirror_index(k_max)]
     amps[k_max - 1] *= 1.0 + epsilon
     amps[k_max + 1] *= 1.0 - epsilon
     squares = amps * amps
-    if many:
-        return amps * np.sqrt(total_power / _fsum_columns(squares))
-    return amps * math.sqrt(total_power / math.fsum(squares.tolist()))
+    norm = _fsum_columns(squares) if amps.ndim > 1 else math.fsum(squares.tolist())
+    return amps * np.sqrt(total_power / norm)
 
 
 def bessel_spectrum(

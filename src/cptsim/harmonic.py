@@ -220,10 +220,11 @@ class HarmonicSignal:
     a > 0.5; `make_signal_function` and a sweep's lanes do, once.
 
     `couplings` holds floats for one spectrum, or numpy arrays over lanes
-    j (P shared) for many: delta, the width and the power slope are then
-    arrays over the lanes, each evaluation is one batched solve, and every
-    lane equals the signal of its own spectrum bit for bit.  `servo`
-    evaluates one lane per step, so no matrix is held per lane.
+    j (P shared, omega_m one value or one per lane) for many: delta, the
+    width and the power slope are then arrays over the lanes, each
+    evaluation is one batched solve, and every lane equals the signal of
+    its own point bit for bit.  `servo` evaluates one lane per step, so no
+    matrix is held per lane.
     """
 
     def __init__(
@@ -329,21 +330,20 @@ def harmonic_signals(
     )
 
 
-def _first_order(atom: AtomParams, c: DerivedCouplings, modulation: ModulationParams):
-    """Gains and drive terms of the first-order closed form.
+def _first_order(atom: AtomParams, c: DerivedCouplings, a: float, w):
+    """Gains and drive terms of the first-order closed form, w = omega_m.
 
     At detection phase 0, S = g_S * drive and Q = g_Q * drive with
     drive = x calV_L calV_R + K (calV_L^2 - calV_R^2) and
     x = 2 delta + delta_r + delta_nr; to first order K enters only through
     the detuning it adds to x.  Returns (g_S, g_Q, calV_L calV_R,
-    K (calV_L^2 - calV_R^2)).  The fields of `c` are floats or numpy arrays
-    (slabs, and lanes of slabs); every operation is elementwise.
+    K (calV_L^2 - calV_R^2)).  The fields of `c` and w are floats or numpy
+    arrays (slabs, and lanes of slabs); every operation is elementwise.
     """
     gt = c.Gamma_g_tilde
-    w = modulation.omega_m
     g2w2 = gt * gt + w * w
     pref = 4.0 * c.P / (atom.gamma * atom.Gamma)
-    common = pref * modulation.a * w * c.V_LR / (g2w2 * g2w2)
+    common = pref * a * w * c.V_LR / (g2w2 * g2w2)
     g_S = 4.0 * common * gt
     g_Q = 2.0 * common * w * (3.0 * gt * gt + w * w) / (gt * gt)
     dV2 = c.calV_L * c.calV_L - c.calV_R * c.calV_R  # x*x, on floats and arrays
@@ -380,12 +380,12 @@ class ClosedFormSignal:
     `couplings` holds numpy arrays with the slabs of a cell along the last
     axis, and lanes (one spectrum each) before it if there are several;
     `thick.cell_signal` builds them, and a thin point is a cell of one
-    slab.  `width` is Gamma_g_tilde at the cell entrance, per lane.  Every
-    slab signal is g_i (2 delta VV_i + x0_i VV_i + K_i dV2_i), with g_i the
-    gain at the detection phase and x0_i the slab's static shift; the gains
-    and the slope sum_i g_i VV_i are formed once, here.  `crossing` and
-    `power_sensitivity` take every lane at once; `signals` and calls take
-    one spectrum.
+    slab; omega_m is one value or one per lane.  `width` is Gamma_g_tilde
+    at the cell entrance, per lane.  Every slab signal is g_i (2 delta VV_i
+    + x0_i VV_i + K_i dV2_i), with g_i the gain at the detection phase and
+    x0_i the slab's static shift; the gains and the slope sum_i g_i VV_i
+    are formed once, here.  `crossing` and `power_sensitivity` take every
+    lane at once; `signals` and calls take one spectrum.
     """
 
     def __init__(
@@ -397,7 +397,9 @@ class ClosedFormSignal:
     ):
         self.atom, self.couplings, self.modulation = atom, couplings, modulation
         self.width = width
-        self._gains = g_S, g_Q, VV, _ = _first_order(atom, couplings, modulation)
+        w = modulation.omega_m  # one value, or lanes before the slabs
+        self._w = w = w[:, None] if np.ndim(w) else w
+        self._gains = g_S, g_Q, VV, _ = _first_order(atom, couplings, modulation.a, w)
         self._cos, self._sin = math.cos(modulation.alpha), math.sin(modulation.alpha)
         self._g = g_S * self._cos - g_Q * self._sin
         slope = (self._g * VV).sum(-1)
@@ -443,7 +445,7 @@ class ClosedFormSignal:
         """
         c = self.couplings
         g_S, g_Q, VV, K_term = self._gains
-        gt, w2 = c.Gamma_g_tilde, self.modulation.omega_m**2
+        gt, w2 = c.Gamma_g_tilde, np.float_power(self._w, 2)  # libm pow, as float**2
         d_log = -4.0 * gt / (gt * gt + w2)  # d log(1/D^2)/dGamma_g_tilde, both gains
         dg = g_S * (1.0 / gt + d_log) * self._cos - g_Q * self._sin * (
             6.0 * gt / (3.0 * gt * gt + w2) - 2.0 / gt + d_log
@@ -500,7 +502,7 @@ def asymmetry_shift(
 ) -> ShiftBreakdown:
     """Decompose the linearized zero crossing into its shift contributions."""
     c = derive_couplings(atom, spectrum)
-    g_S, _, VV, K_term = _first_order(atom, c, modulation)
+    g_S, _, VV, K_term = _first_order(atom, c, modulation.a, modulation.omega_m)
     if VV == 0.0:
         raise ParameterError(
             "asymmetry shift is undefined when a resonant sideband is absent "

@@ -21,17 +21,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .config import CURVE_KEYS, SWEEP_AXES, ScenarioConfig
-from .core import FieldSpectrum, ModulationParams
-from .sweep import (
-    bessel_family,
-    crossing_and_sensitivity,
-    find_ips_and_pzds,
-)
-from .thick import CellParams
+from .sweep import _lane_pairs, bessel_family, find_ips_and_pzds
 
 __all__ = ["RunResult", "emit_csv", "run_scenario"]
 
@@ -75,26 +71,10 @@ def emit_csv(path: str, fieldnames: Sequence[str], rows: Iterable[Sequence]) -> 
 
 
 def _grid(start: float, stop: float, points: int) -> list[float]:
-    if points == 0:
-        return []
     if points == 1:
         return [start]
     step = (stop - start) / (points - 1)
     return [start + i * step for i in range(points)]
-
-
-def _point_setup(
-    config: ScenarioConfig, Omega: float, point: dict[str, float]
-) -> tuple[ModulationParams, CellParams | None, Callable[[float], FieldSpectrum]]:
-    """Modulation, cell and m-family of one sweep point (`m` and
-    `power_scale` are left to the caller)."""
-    spec = config.spectrum
-    modulation = config.modulation.to_params(point.get("omega_m_hz"))
-    cell = config.cell.to_params(point.get("beta_per_m")) if config.cell else None
-    family = bessel_family(
-        point.get("epsilon", spec.epsilon), spec.k_max, spec.total_power, Omega
-    )
-    return modulation, cell, family
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResult:
@@ -127,13 +107,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     roots_paths: list[str] = []
     manifest_curves = []
 
+    spec = config.spectrum
     for curve, point, suffix in curves:
         records_path = os.path.join(out, f"{prefix}{suffix}.csv")
         entry = {"curve": curve, "grid": list(grid)}
-        rows: list[tuple] = []
+        modulation = config.modulation.to_params(point.get("omega_m_hz"))
+        cell = config.cell.to_params(point.get("beta_per_m")) if config.cell else None
+        family = bessel_family(
+            point.get("epsilon", spec.epsilon), spec.k_max, spec.total_power, Omega
+        )
         if sweep.axis == "m":
+            rows: list[tuple] = []
             root_rows: list[tuple] = []
-            modulation, cell, family = _point_setup(config, Omega, point)
             if grid:  # an empty grid writes header-only files
                 result = find_ips_and_pzds(
                     atom, modulation, family, grid,
@@ -156,19 +141,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             )
             roots_paths.append(roots_path)
             entry["roots"] = os.path.basename(roots_path)
-        else:
-            for value in grid:
-                modulation, cell, family = _point_setup(
-                    config, Omega, {**point, axis_field: value}
-                )
-                spectrum = family(config.spectrum.m)
-                if sweep.axis == "power":
-                    spectrum = spectrum.scaled(value)
-                d0, dd = crossing_and_sensitivity(
-                    atom, spectrum, modulation, path=sweep.path, cell=cell,
-                    allow_asymmetric=True,
-                )
-                rows.append((value, spectrum.total_power, d0 / TWO_PI, dd))
+        else:  # every point a lane of one pair solve; omega_m in rad/s
+            column = "power_scale" if sweep.axis == "power" else sweep.axis
+            scale = TWO_PI if sweep.axis == "omega_m" else 1.0
+            pairs = _lane_pairs(
+                atom, modulation, family, sweep.path, cell, True,
+                {"m": spec.m, column: scale * np.array(grid)}, axis_field, grid,
+            )
+            rows = [(v, E2, d0 / TWO_PI, dd) for v, (d0, dd, E2) in zip(grid, pairs)]
         emit_csv(
             records_path, [axis_field, "E2", "delta0_hz", "dDelta0_dE2"], rows
         )

@@ -13,10 +13,10 @@ order the asymmetry shift delta_as cancels the resonant light shift
 delta_r, so the split from asymmetry comes from higher orders in the
 modulation index and the power, which the harmonic path keeps.
 `find_ips_and_pzds` maps both root families over an m-grid with sign-change
-isolation checks and refines every root as a lane of one Brent search in m;
-on the harmonic, linearized and thick paths the new depths of a grid or
-Brent round are the lanes of one signal, and only a lane without a clean
-bracket, or a time-domain sweep, is solved point by point.
+isolation checks and refines every root as a lane of one Brent search in m.
+On the harmonic, linearized and thick paths the points of a sweep along any
+axis are the lanes of one signal, and only a lane without a clean bracket,
+or a time-domain sweep, is solved point by point.
 `servo_lock_experiment` reproduces the experimental detection of IPs by
 locking a servo to the zero crossing while the light intensity is
 harmonically modulated and the RF power is slowly ramped.
@@ -73,7 +73,7 @@ MAX_REFINE = 3
 # and the iterations after which it gives up, scipy's default.
 RTOL = 4.0 * float(np.finfo(float).eps)
 MAXITER = 100
-# Most lanes `find_ips_and_pzds` solves in one batch, which bounds the memory
+# Most lanes `_lane_pairs` solves in one batch, which bounds the memory
 # of its stacked 15x15 systems.
 MAX_LANES = 1024
 
@@ -419,61 +419,97 @@ class BesselFamily:
         return amplitude_couplings(atom, dict(zip(ks, amplitudes)), self.Omega)
 
 
+# bessel_family(epsilon, k_max, total_power, Omega) is the family's constructor
+bessel_family = BesselFamily
+
+
+def _with_lanes(params, lanes: dict, field: str):
+    """`params`, or if `lanes` has `field` a copy whose field holds those
+    lanes, unchecked: each lane's value is checked at its own point."""
+    if field not in lanes:
+        return params
+    copy = object.__new__(type(params))
+    vars(copy).update(vars(params), **{field: lanes[field]})
+    return copy
+
+
 def _lane_pairs(
-    atom: AtomParams, modulation: ModulationParams, family: BesselFamily,
-    ms: list[float], path: SignalPath, cell: CellParams | None,
-    allow_asymmetric: bool,
-) -> dict[float, tuple[float, float, float]]:
-    """(delta_0, dDelta0_dE2, E^2) of family(m), for every m of `ms` whose
-    crossing has a clean bracket, as lanes of one signal.
+    atom: AtomParams, modulation: ModulationParams,
+    family: Callable[[float], FieldSpectrum], path: SignalPath,
+    cell: CellParams | None, allow_asymmetric: bool,
+    columns: dict[str, np.ndarray | float], name: str, values: Sequence[float],
+) -> list[tuple[float, float, float]]:
+    """(delta_0, dDelta0_dE2, E^2) at each point of a sweep, bit for bit
+    those of `crossing_and_sensitivity` there.
 
-    The couplings of every m come from one `BesselFamily.couplings` pass;
-    the affine paths solve every crossing in closed form, and each round of
-    the harmonic lanes' `brentq` is one batched solve.  Each lane's
-    arithmetic is that of `crossing_and_sensitivity` on family(m), E^2 the
-    math.fsum of `FieldSpectrum.total_power`, so every pair equals it bit
-    for bit.  A bracket +-Gamma_g_tilde is clean if the closed-form root
-    lies in it or the harmonic signal has strictly opposite signs at its
-    ends.  Other lanes (an error, a flat signal such as every lane at a = 0,
-    a root at an end) are left to `pair_at`, and so is every lane when the
-    signal cannot be built (a negative depth, or a cell that rejects the
-    spectra).
+    `columns` maps "m", and any of "epsilon", "power_scale" (E^2 -> s E^2),
+    "omega_m" and "beta", to an array over the points or a shared value;
+    the rest are those of `family`, `modulation` and `cell`.  For a
+    `BesselFamily` off the time domain, the points with a clean bracket
+    (closed-form root in +-Gamma_g_tilde, or harmonic signals of strictly
+    opposite signs at its ends) are lanes of one signal, at most MAX_LANES
+    of one slab count (beta = 0 or > 0) at a time; the others go through
+    `crossing_and_sensitivity` in order, an error re-raised as "at name =
+    values[j], ...".
     """
-    if not ms:
-        return {}
-    try:
-        amps = family.amplitudes(np.array(ms))
-        signal = _couplings_signal(
-            atom, family.couplings(atom, amps), family.Omega, modulation,
-            path, cell, allow_asymmetric,
-        )
-    except ParameterError:
-        return {}
-    gt = signal.width
-    if isinstance(signal, ClosedFormSignal):
-        roots = signal.crossing()
-        clean = (-gt <= roots) & (roots <= gt)
-    else:
-        S_lo, S_hi = signal(-gt), signal(gt)
-        clean = np.sign(S_lo) * np.sign(S_hi) == -1.0
-    if not clean.all():  # solve the clean lanes on their own
-        kept = [m for m, ok in zip(ms, clean.tolist()) if ok]
-        return _lane_pairs(atom, modulation, family, kept, path, cell, allow_asymmetric)
-    if not isinstance(signal, ClosedFormSignal):
-        roots = brentq(signal, -gt, gt, SWEEP_XTOL * gt, S_lo, S_hi)
-    powers = _fsum_columns(amps * amps)
-    slopes = signal.power_sensitivity(roots) / powers
-    return dict(zip(ms, zip(roots.tolist(), slopes.tolist(), powers.tolist())))
 
+    def point(j: int):
+        """Spectrum, modulation and cell of lane j, each checked."""
+        x = {k: float(v[j]) if np.ndim(v) else v for k, v in columns.items()}
+        fam = replace(family, epsilon=x["epsilon"]) if "epsilon" in x else family
+        spectrum = fam(x["m"])
+        if "power_scale" in x:
+            spectrum = spectrum.scaled(x["power_scale"])
+        mod = replace(modulation, omega_m=x.get("omega_m", modulation.omega_m))
+        return spectrum, mod, replace(cell, beta=x["beta"]) if "beta" in x else cell
 
-def bessel_family(
-    epsilon: float,
-    k_max: int,
-    total_power: float,
-    Omega: float,
-) -> BesselFamily:
-    """Family m -> truncated Bessel spectrum at fixed asymmetry and power."""
-    return BesselFamily(epsilon, k_max, total_power, Omega)
+    def batch(lanes: np.ndarray) -> dict[int, tuple[float, float, float]]:
+        """The pairs of the clean lanes among `lanes`, by lane index."""
+        x = {k: v[lanes] if np.ndim(v) else v for k, v in columns.items()}
+        try:  # a batch whose signal cannot be built is left to `point`
+            amps = family.amplitudes(x["m"]) if len(x) == 1 else np.array([
+                list(point(j)[0].components.values()) for j in lanes.tolist()
+            ]).T  # the family's amplitudes if only m varies, else each point's
+            signal = _couplings_signal(
+                atom, family.couplings(atom, amps), family.Omega,
+                _with_lanes(modulation, x, "omega_m"), path,
+                _with_lanes(cell, x, "beta"), allow_asymmetric,
+            )
+        except ParameterError:
+            return {}
+        gt = signal.width
+        if isinstance(signal, ClosedFormSignal):
+            roots = signal.crossing()
+            clean = (-gt <= roots) & (roots <= gt)
+        else:
+            S_lo, S_hi = signal(-gt), signal(gt)
+            clean = np.sign(S_lo) * np.sign(S_hi) == -1.0
+        if not clean.all():  # solve the clean lanes on their own
+            return batch(lanes[clean]) if clean.any() else {}
+        if not isinstance(signal, ClosedFormSignal):
+            roots = brentq(signal, -gt, gt, SWEEP_XTOL * gt, S_lo, S_hi)
+        powers = _fsum_columns(amps * amps)
+        slopes = signal.power_sensitivity(roots) / powers
+        return dict(zip(
+            lanes.tolist(), zip(roots.tolist(), slopes.tolist(), powers.tolist())
+        ))
+
+    pairs: dict[int, tuple[float, float, float]] = {}
+    if isinstance(family, BesselFamily) and path != "time-domain":
+        transparent = np.zeros(len(values)) == columns.get("beta", 0.0)
+        for group in np.flatnonzero(transparent), np.flatnonzero(~transparent):
+            for start in range(0, len(group), MAX_LANES):
+                pairs.update(batch(group[start : start + MAX_LANES]))
+    for j in range(len(values)):
+        if j not in pairs:
+            spectrum, mod, lane_cell = point(j)
+            try:
+                pairs[j] = crossing_and_sensitivity(
+                    atom, spectrum, mod, path, lane_cell, allow_asymmetric
+                ) + (spectrum.total_power,)
+            except (BracketError, ParameterError) as exc:
+                raise type(exc)(f"at {name} = {values[j]:.12g}, {exc}") from exc
+    return [pairs[j] for j in range(len(values))]
 
 
 @dataclass(frozen=True)
@@ -545,14 +581,12 @@ def find_ips_and_pzds(
     each is one lane of a single `brentq` in m.  The grid is checked for
     isolation by midpoint densification: if either root count changes, the
     densified grid is adopted (up to MAX_REFINE times).  `family` and the
-    pair are computed once per distinct m; with a `BesselFamily` on every
-    path but the time domain, the new m of each grid or Brent round are
-    lanes of one signal, in batches of at most MAX_LANES (`_lane_pairs`),
-    and only lanes without a clean bracket are solved per point.  A
-    BracketError or ParameterError names the m at which it occurred: the
-    smallest failing m of a grid round, or the first of a Brent round, PZD
-    lanes before IP lanes (with two failing roots, not always the one a
-    search that refines root after root meets first).
+    pair are computed once per distinct m, the new m of each grid or Brent
+    round as the lanes of one `_lane_pairs`.  A BracketError or
+    ParameterError names the m at which it occurred: the smallest failing m
+    of a grid round, or the first of a Brent round, PZD lanes before IP
+    lanes (with two failing roots, not always the one a search that refines
+    root after root meets first).
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -562,29 +596,16 @@ def find_ips_and_pzds(
         raise ParameterError("m_grid must be strictly increasing")
 
     pairs: dict[float, tuple[float, float, float]] = {}
-    lanes = isinstance(family, BesselFamily) and path != "time-domain"
-
-    def pair_at(m: float) -> tuple[float, float, float]:
-        """(delta_0, dDelta0_dE2, E^2) at m; an error is re-raised naming m."""
-        if m not in pairs:
-            spectrum = family(m)
-            try:
-                pairs[m] = crossing_and_sensitivity(
-                    atom, spectrum, modulation, path, cell, allow_asymmetric
-                ) + (spectrum.total_power,)
-            except (BracketError, ParameterError) as exc:
-                raise type(exc)(f"at m = {m:.12g}, {exc}") from exc
-        return pairs[m]
 
     def entries(grid: list[float], which: list[int]) -> list[float]:
-        """Entry which[j] of the pair at each grid[j], new m as lanes first."""
-        new = list(dict.fromkeys(m for m in grid if m not in pairs)) if lanes else []
-        for start in range(0, len(new), MAX_LANES):
-            pairs.update(_lane_pairs(
-                atom, modulation, family, new[start : start + MAX_LANES],
-                path, cell, allow_asymmetric,
-            ))
-        return [pair_at(m)[w] for m, w in zip(grid, which)]
+        """Entry which[j] of the pair at each grid[j], new m as lanes."""
+        new = list(dict.fromkeys(m for m in grid if m not in pairs))
+        if new:
+            pairs.update(zip(new, _lane_pairs(
+                atom, modulation, family, path, cell, allow_asymmetric,
+                {"m": np.array(new)}, "m", new,
+            )))
+        return [pairs[m][w] for m, w in zip(grid, which)]
 
     def sign_changes(grid: list[float], which: int) -> list[int]:
         return _sign_change_intervals(entries(grid, [which] * len(grid)))
@@ -598,7 +619,7 @@ def find_ips_and_pzds(
         ms = dense
         if stable:
             break
-    delta0s, derivs, powers = zip(*(pair_at(m) for m in ms))
+    delta0s, derivs, powers = zip(*(pairs[m] for m in ms))
 
     pzd_intervals, ip_intervals = sign_changes(ms, 0), sign_changes(ms, 1)
     which = [0] * len(pzd_intervals) + [1] * len(ip_intervals)
@@ -614,7 +635,7 @@ def find_ips_and_pzds(
         nearest = min(pzd_roots, key=lambda p: abs(p - m_ip), default=None)
         gap = None if nearest is None else m_ip - nearest
         ip_roots.append(
-            IpRoot(m=m_ip, delta0=pair_at(m_ip)[0], nearest_pzd_m=nearest, m_gap=gap)
+            IpRoot(m=m_ip, delta0=pairs[m_ip][0], nearest_pzd_m=nearest, m_gap=gap)
         )
 
     near_ip = {j for i in ip_intervals for j in (i, i + 1)}
@@ -817,10 +838,9 @@ def _servo_trace(
 ) -> ServoTrace:
     """The trace of a run that lost lock at step `lost_at` (None if held),
     with the locked detuning demodulated at the intensity period."""
-    n_kept = len(ms) if lost_at is None else lost_at
-    ms = ms[:n_kept]
-    intensity = intensity[:n_kept]
-    deltas = deltas[:n_kept]
+    ms = ms[:lost_at]
+    intensity = intensity[:lost_at]
+    deltas = deltas[:lost_at]
 
     stride = period // 2
     centers: list[float] = []
@@ -830,15 +850,13 @@ def _servo_trace(
     # buries the response minimum at the IP
     ramp = np.arange(period) - (period - 1) / 2.0
     ramp_norm = np.sum(ramp * ramp)
-    start = 0
-    while start + period <= n_kept:
+    for start in range(0, len(ms) - period + 1, stride):
         window = deltas[start : start + period]
         slope = np.sum(ramp * (window - window.mean())) / ramp_norm
         detrended = window - window.mean() - slope * ramp
         amp = 2.0 * abs(np.sum(detrended * probe)) / period
         centers.append(float(ms[start + period // 2]))
         amps.append(float(amp))
-        start += stride
     return ServoTrace(
         m=ms,
         intensity=intensity,

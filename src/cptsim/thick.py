@@ -97,16 +97,16 @@ def cell_signal(
 
     `couplings` are the `derive_couplings` of the field at the cell
     entrance, floats for one spectrum or numpy arrays over lanes (P
-    shared), and Omega its sideband spacing; the signal's width is the
-    entrance Gamma_g_tilde.  The slab couplings are taken at the slab
-    midpoints z_i = (i + 1/2) length/n_slabs, on a new last axis; every
-    one except P is a numpy array, built from `couplings` at once.  Only
-    the resonant pair is attenuated, by t = e^{-beta z} in power, so V_L,
-    V_R, V_LR, K and delta_r scale with t, calV_L and calV_R with sqrt(t),
-    Gamma_g_tilde = Gamma_g + t (V_L + V_R), and delta_nr keeps its
-    non-resonant part plus t times the resonant pair's share.  A
-    transparent cell is a single slab holding the entrance values exactly,
-    and so is a thin point (`cell` None), which takes any spectrum.
+    shared, and `cell.beta` one value or one per lane), and Omega its
+    sideband spacing; the signal's width is the entrance Gamma_g_tilde.
+    The slab couplings, at the midpoints z_i = (i + 1/2) length/n_slabs,
+    go on a new last axis.  Only the resonant pair is attenuated, by
+    t = e^{-beta z} in power, so V_L, V_R, V_LR, K and delta_r scale with
+    t, calV_L and calV_R with sqrt(t), Gamma_g_tilde = Gamma_g + t (V_L +
+    V_R), and delta_nr keeps its non-resonant part plus t times the
+    resonant pair's share.  A transparent cell (beta = 0 in every lane) is
+    one slab holding the entrance values exactly, and so is a thin point
+    (`cell` None), which takes any spectrum.
 
     The z-average is derived for symmetric resonant sidebands; pass
     `allow_asymmetric=True` to average asymmetric spectra anyway (an
@@ -123,8 +123,9 @@ def cell_signal(
     c = replace(couplings, **{  # the slabs of every lane go on a new last axis
         k: np.expand_dims(v, -1) for k, v in vars(couplings).items() if k != "P"
     })
-    n = cell.n_slabs if cell.beta > 0.0 else 1
-    t = np.exp(-cell.beta * ((np.arange(n) + 0.5) * (cell.length / n)))
+    beta = cell.beta[:, None] if np.ndim(cell.beta) else cell.beta  # lanes, slabs
+    n = cell.n_slabs if np.count_nonzero(beta) else 1
+    t = np.exp(-beta * ((np.arange(n) + 0.5) * (cell.length / n)))
     loss = 1.0 - t  # written as a loss so that t = 1 reproduces c exactly
     root = np.sqrt(t)
     shares = _nonresonant_terms(atom, {-1: c.calV_L, 1: c.calV_R}, Omega)

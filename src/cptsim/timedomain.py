@@ -212,6 +212,7 @@ def lockin(trace: TimeTrace, alpha: float = 0.0) -> LockInResult:
     sine, via the trapezoid rule; a pure cosine of amplitude c gives S = c.
     Requires the trace to span an integer number N >= 4 of periods.
     """
+    require_finite("lockin", alpha=alpha)
     span = trace.t[-1] - trace.t[0]
     n_float = span * trace.omega_m / (2.0 * math.pi)
     n = round(n_float)

@@ -11,6 +11,7 @@ import pytest
 from cptsim import (
     CellParams,
     ModulationParams,
+    ParameterError,
     bessel_spectrum,
     symmetrizing_detuning,
 )
@@ -375,8 +376,24 @@ class TestRunScenario:
                 "power_scale",
                 "epsilon",
             ),
+            (
+                "axis: omega_m\n  start: 100.0\n  stop: 2500.0\n  points: 4",
+                "harmonic",
+                "epsilon: [0.0, 0.2]",
+                [100.0, 900.0, 1700.0, 2500.0],
+                "omega_m_hz",
+                "epsilon",
+            ),
+            (
+                "axis: epsilon\n  start: -0.2\n  stop: 0.2\n  points: 3",
+                "linearized",
+                "omega_m_hz: [300.0, 900.0]",
+                [-0.2, 0.0, 0.2],
+                "epsilon",
+                "omega_m_hz",
+            ),
         ],
-        ids=["beta", "epsilon", "power"],
+        ids=["beta", "epsilon", "power", "omega_m", "linearized"],
     )
     def test_axis_rows_are_direct_crossings(
         self, tmp_path, axis, path, curves, grid, column, curve_field
@@ -412,6 +429,43 @@ class TestRunScenario:
                     [_fmt(v), _fmt(spectrum.total_power), _fmt(d0 / TWO_PI), _fmt(dd)]
                 )
             assert rows == expected
+
+    @pytest.mark.parametrize(
+        "axis, path, point",
+        [
+            ("axis: m\n  start: 2.0\n  stop: 2.8\n  points: 3", "harmonic", "m = 2"),
+            (
+                "axis: omega_m\n  start: 600.0\n  stop: 900.0\n  points: 3",
+                "harmonic",
+                "omega_m_hz = 600",
+            ),
+            (
+                "axis: epsilon\n  start: -0.2\n  stop: 0.2\n  points: 3",
+                "linearized",
+                "epsilon = -0.2",
+            ),
+            (
+                "axis: power\n  start: 0.5\n  stop: 1.5\n  points: 3",
+                "time-domain",
+                "power_scale = 0.5",
+            ),
+            (
+                "axis: beta\n  start: 0.0\n  stop: 20.0\n  points: 3",
+                "thick",
+                "beta_per_m = 0",
+            ),
+        ],
+        ids=["m", "omega_m", "epsilon", "power", "beta"],
+    )
+    def test_failing_point_is_named(self, tmp_path, axis, path, point):
+        # at a = 0 the signal is flat, so the first point of every axis fails
+        text = with_sweep(axis, path).replace("  a: 0.2\n", "  a: 0.0\n") + CELL_YAML
+        with pytest.raises(ParameterError) as info:
+            run_scenario(parse_config(text), out_dir=str(tmp_path))
+        assert str(info.value) == (
+            f"at {point}, the in-phase signal has no slope in delta "
+            "(modulation index a = 0.0)"
+        )
 
     def test_empty_grid_writes_header_only(self, tmp_path):
         cfg = parse_config(BASE_YAML.replace("points: 9", "points: 0"))

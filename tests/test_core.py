@@ -181,6 +181,14 @@ class TestFieldSpectrum:
         for k in spec.components:
             assert up.sigma(k) == pytest.approx(spec.sigma(k), rel=1e-12)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_scaled_rejects_non_finite_factor_by_name(self, factor):
+        with pytest.raises(
+            ParameterError,
+            match=f"^FieldSpectrum.scaled.power_factor must be finite, got {factor}$",
+        ):
+            make_spectrum(m=2.4).scaled(factor)
+
     def test_resonant_attenuation_touches_only_first_sidebands(self):
         spec = make_spectrum(m=2.4)
         att = resonant_attenuation(spec, 0.25)

@@ -661,13 +661,13 @@ class TestLockstepGrid:
     def test_batches_hold_at_most_max_lanes(self, atom, lane, monkeypatch):
         path, cell = LANE_PATHS[lane]
         sizes = []
-        real = sweep._lane_pairs
+        real = sweep.BesselFamily.amplitudes
 
-        def counted(atom, mod, family, ms, *args):
+        def counted(family, ms):  # one call per batch of m lanes
             sizes.append(len(ms))
-            return real(atom, mod, family, ms, *args)
+            return real(family, ms)
 
-        monkeypatch.setattr(sweep, "_lane_pairs", counted)
+        monkeypatch.setattr(sweep.BesselFamily, "amplitudes", counted)
         monkeypatch.setattr(sweep, "MAX_LANES", 4)
         family = bessel_family(0.2, 5, POWER, OMEGA)
         gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
@@ -753,6 +753,75 @@ class TestLockstepGrid:
             reference_ips_and_pzds(*args)
         named = float(re.match(r"at m = (\S+),", str(ref.value))[1])
         assert dense[4] < named < dense[5] and named != pzd_at
+
+
+class TestLanePairs:
+    """`sweep._lane_pairs`, the pair solver of every sweep axis, lane by
+    lane against `crossing_and_sensitivity` at each lane's point."""
+
+    # five lanes per column; omega_m in units of Gamma_g_tilde, and the
+    # beta grid starts with a transparent (one-slab) lane
+    COLUMNS = {
+        "m": [2.0, 2.2, 2.4, 2.6, 2.8],
+        "epsilon": [-0.3, -0.1, 0.0, 0.2, 0.3],
+        "power_scale": [0.5, 0.8, 1.0, 1.3, 1.5],
+        "omega_m": [0.2, 0.5, 1.0, 1.5, 2.0],
+        "beta": [0.0, 10.0, 21.5, 30.0, 40.0],
+    }
+
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "thick"])
+    @pytest.mark.parametrize("column", list(COLUMNS))
+    def test_every_lane_equals_its_point(self, atom, path, column, monkeypatch):
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt, alpha=0.3)
+        cell = CellParams(0.02, 21.5)
+        values = self.COLUMNS[column]
+        lanes = np.array(values) * (gt if column == "omega_m" else 1.0)
+        calls = TestLockstepGrid.per_point_spectra(monkeypatch)
+        pairs = sweep._lane_pairs(
+            atom, mod, family, path, cell, True, {"m": 2.4, column: lanes},
+            column, values,
+        )
+        assert calls == []  # every lane is clean: none is solved per point
+        expected = []
+        for v in lanes.tolist():
+            x = {column: v}
+            spectrum = bessel_family(x.get("epsilon", 0.2), 5, POWER, OMEGA)(
+                x.get("m", 2.4)
+            ).scaled(x.get("power_scale", 1.0))
+            expected.append(crossing_and_sensitivity(
+                atom, spectrum,
+                ModulationParams(a=0.2, omega_m=x.get("omega_m", 0.5 * gt), alpha=0.3),
+                path, CellParams(0.02, x.get("beta", 21.5)), True,
+            ) + (spectrum.total_power,))
+        assert pairs == expected
+
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "thick"])
+    def test_only_the_unclean_lane_goes_per_point(self, atom, path, monkeypatch):
+        # at m = 0.2 (carrier-heavy) twice the power puts the crossing
+        # beyond +-Gamma_g_tilde; a quarter and the full power do not
+        family = bessel_family(0.0, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        real = sweep._couplings_signal
+        lanes = []
+
+        def counted(atom, c, *args):
+            lanes.append(np.size(c.K))
+            return real(atom, c, *args)
+
+        monkeypatch.setattr(sweep, "_couplings_signal", counted)
+        calls = TestLockstepGrid.per_point_spectra(monkeypatch)
+        scales = [0.25, 2.0, 1.0]
+        with pytest.raises(BracketError, match="^at power_scale = 2, no crossing"):
+            sweep._lane_pairs(
+                atom, mod, family, path, CellParams(0.02, 21.5), True,
+                {"m": 0.2, "power_scale": np.array(scales)}, "power_scale", scales,
+            )
+        # the batch of three, its two clean lanes, then 2.0 on its own
+        assert lanes == [3, 2, 1]
+        assert calls == [family(0.2).scaled(2.0)]
 
 
 class TestBrent:

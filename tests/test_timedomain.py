@@ -123,6 +123,14 @@ class TestLockin:
         with pytest.raises(ParameterError, match=">= 4 periods"):
             lockin(synthetic_trace(n_periods=3))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # a NaN phase would return S = Q = NaN and inf would warn in np.cos
+        with pytest.raises(
+            ParameterError, match=f"^lockin.alpha must be finite, got {alpha}$"
+        ):
+            lockin(synthetic_trace(S=0.4, Q=0.9), alpha=alpha)
+
 
 class TestIntegration:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
