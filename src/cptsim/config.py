@@ -37,6 +37,7 @@ __all__ = [
     "SweepConfig",
     "OutputConfig",
     "ScenarioConfig",
+    "curve_suffix",
     "parse_config",
     "serialize_config",
 ]
@@ -54,12 +55,19 @@ SWEEP_AXES = {
     "power": "power_scale",
 }
 # Curve key -> (point field, file tag, whether values are divided by the
-# cell length); files are <prefix>_<tag><value>.csv.  beta_l is beta*l.
+# cell length); files are <prefix><curve_suffix>.csv.  beta_l is beta*l.
 CURVE_KEYS = {
     "omega_m_hz": ("omega_m_hz", "wm", False),
     "beta_l": ("beta_per_m", "bl", True),
     "epsilon": ("epsilon", "eps", False),
 }
+
+
+def curve_suffix(key: str, value: float) -> str:
+    """File-name suffix of the curve at `value` of curve key `key`:
+    _<tag><value to 12 significant digits>."""
+    return f"_{CURVE_KEYS[key][1]}{value:.12g}"
+
 # Point field -> (block, field) of the config value it replaces.  Every axis
 # end and curve value must keep that field's limits; power_scale replaces
 # no field and is checked on its own.
@@ -288,6 +296,14 @@ class ScenarioConfig(_Block):
             field, _, per_length = CURVE_KEYS[key]
             length = self.cell.length_m if per_length and self.cell else 1.0
             values += [(f"curves.{key} {v}", field, v / length) for v in curve_values]
+            first: dict[str, float] = {}  # records file -> the value that writes it
+            for v in curve_values:
+                name = f"{self.output.prefix}{curve_suffix(key, v)}.csv"
+                if name in first:
+                    problems.append(
+                        f"curves.{key} {first[name]} and {v} both write {name}"
+                    )
+                first.setdefault(name, v)
         for where, field, value in values:
             problem = self._out_of_range(field, value)
             if problem:

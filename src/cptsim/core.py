@@ -353,8 +353,12 @@ def amplitude_couplings(
     V_LR = E_L * E_R * pump
     K = E_L * E_R * (disp_u + r * disp_d)
     delta_r = -(E_L * E_L - E_R * E_R) * (disp_u + r * disp_d)
-    terms = list(_nonresonant_terms(atom, amplitudes, Omega).values())
-    delta_nr = _fsum_columns(terms) if np.ndim(E_L) else math.fsum(terms)
+    if np.ndim(E_L):  # the terms of every lane as one (k, lanes) array
+        w = np.array([_nonresonant_weight(k) for k in amplitudes])[:, None]
+        amps = np.array(list(amplitudes.values()))
+        delta_nr = _fsum_columns((1.0 + r) * amps * amps * w / Omega)
+    else:
+        delta_nr = math.fsum(_nonresonant_terms(atom, amplitudes, Omega).values())
     P = atom.Gamma * lor_u + atom.Gamma * lor_d
 
     return DerivedCouplings(

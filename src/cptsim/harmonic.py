@@ -450,7 +450,7 @@ class ClosedFormSignal:
         dg = g_S * (1.0 / gt + d_log) * self._cos - g_Q * self._sin * (
             6.0 * gt / (3.0 * gt * gt + w2) - 2.0 / gt + d_log
         )
-        x = 2.0 * np.expand_dims(delta0, -1) + c.delta_r + c.delta_nr
+        x = 2.0 * np.asarray(delta0)[..., None] + c.delta_r + c.delta_nr
         shift = (dg * (c.V_L + c.V_R) * (x * VV + K_term)).sum(-1)
         return delta0 - shift / (2.0 * self._slope)
 

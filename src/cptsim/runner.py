@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .config import CURVE_KEYS, SWEEP_AXES, ScenarioConfig
+from .config import CURVE_KEYS, SWEEP_AXES, ScenarioConfig, curve_suffix
 from .sweep import _lane_pairs, bessel_family, find_ips_and_pzds
 
 __all__ = ["RunResult", "emit_csv", "run_scenario"]
@@ -96,10 +96,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     curves: list[tuple[dict, dict, str]] = [({}, {}, "")]
     if sweep.curves is not None:
         key, values = sweep.curves.items()
-        field, tag, per_length = CURVE_KEYS[key]
+        field, _, per_length = CURVE_KEYS[key]
         length = config.cell.length_m if per_length else None
         curves = [
-            ({key: v}, {field: v / length if length else v}, f"_{tag}{_fmt(v)}")
+            ({key: v}, {field: v / length if length else v}, curve_suffix(key, v))
             for v in values
         ]
 

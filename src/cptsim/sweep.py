@@ -16,7 +16,9 @@ modulation index and the power, which the harmonic path keeps.
 isolation checks and refines every root as a lane of one Brent search in m.
 On the harmonic, linearized and thick paths the points of a sweep along any
 axis are the lanes of one signal, and only a lane without a clean bracket,
-or a time-domain sweep, is solved point by point.
+or a time-domain sweep, is solved point by point.  An m-sweep makes one
+lane batch for the grid and its first midpoints, one per later
+densification round and one per Brent round in m.
 `servo_lock_experiment` reproduces the experimental detection of IPs by
 locking a servo to the zero crossing while the light intensity is
 harmonically modulated and the RF power is slowly ramped.
@@ -581,12 +583,14 @@ def find_ips_and_pzds(
     each is one lane of a single `brentq` in m.  The grid is checked for
     isolation by midpoint densification: if either root count changes, the
     densified grid is adopted (up to MAX_REFINE times).  `family` and the
-    pair are computed once per distinct m, the new m of each grid or Brent
-    round as the lanes of one `_lane_pairs`.  A BracketError or
-    ParameterError names the m at which it occurred: the smallest failing m
-    of a grid round, or the first of a Brent round, PZD lanes before IP
-    lanes (with two failing roots, not always the one a search that refines
-    root after root meets first).
+    pair are computed once per distinct m, as the lanes of one
+    `_lane_pairs` batch per round: the grid and its first midpoints
+    together, then the new midpoints of each later densification round,
+    then the new m of each Brent round.  A BracketError or ParameterError
+    names the m at which it occurred: the smallest failing grid m, else the
+    smallest failing midpoint of its round, or the first failing m of a
+    Brent round, PZD lanes before IP lanes (with two failing roots, not
+    always the one a search that refines root after root meets first).
     """
     ms = [float(m) for m in m_grid]
     if len(ms) < 3:
@@ -597,21 +601,27 @@ def find_ips_and_pzds(
 
     pairs: dict[float, tuple[float, float, float]] = {}
 
-    def entries(grid: list[float], which: list[int]) -> list[float]:
-        """Entry which[j] of the pair at each grid[j], new m as lanes."""
+    def solve(grid: list[float]) -> None:
+        """The pairs at the new m of `grid`, as the lanes of one batch."""
         new = list(dict.fromkeys(m for m in grid if m not in pairs))
         if new:
             pairs.update(zip(new, _lane_pairs(
                 atom, modulation, family, path, cell, allow_asymmetric,
                 {"m": np.array(new)}, "m", new,
             )))
+
+    def entries(grid: list[float], which: list[int]) -> list[float]:
+        """Entry which[j] of the pair at each grid[j]."""
+        solve(grid)
         return [pairs[m][w] for m, w in zip(grid, which)]
 
     def sign_changes(grid: list[float], which: int) -> list[int]:
         return _sign_change_intervals(entries(grid, [which] * len(grid)))
 
     for _ in range(MAX_REFINE):
-        dense = sorted(ms + [0.5 * (a + b) for a, b in zip(ms, ms[1:])])
+        midpoints = [0.5 * (a + b) for a, b in zip(ms, ms[1:])]
+        solve(ms + midpoints)  # grid m first: a failing one is named first
+        dense = sorted(ms + midpoints)
         stable = all(
             len(sign_changes(ms, which)) == len(sign_changes(dense, which))
             for which in (0, 1)

@@ -21,7 +21,7 @@ linearized path is built by the same constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,26 +120,25 @@ def cell_signal(
             "the thick-cell average requires symmetric resonant sidebands "
             f"(E_-1 = {EL}, E_+1 = {ER})"
         )
-    c = replace(couplings, **{  # the slabs of every lane go on a new last axis
-        k: np.expand_dims(v, -1) for k, v in vars(couplings).items() if k != "P"
-    })
+    # the slabs of every lane go on a new last axis
+    c = {k: np.asarray(v)[..., None] for k, v in vars(couplings).items()}
     beta = cell.beta[:, None] if np.ndim(cell.beta) else cell.beta  # lanes, slabs
     n = cell.n_slabs if np.count_nonzero(beta) else 1
     t = np.exp(-beta * ((np.arange(n) + 0.5) * (cell.length / n)))
     loss = 1.0 - t  # written as a loss so that t = 1 reproduces c exactly
     root = np.sqrt(t)
-    shares = _nonresonant_terms(atom, {-1: c.calV_L, 1: c.calV_R}, Omega)
+    shares = _nonresonant_terms(atom, {-1: c["calV_L"], 1: c["calV_R"]}, Omega)
     slabs = DerivedCouplings(
-        V_L=t * c.V_L,
-        V_R=t * c.V_R,
-        V_LR=t * c.V_LR,
-        K=t * c.K,
-        Gamma_g_tilde=c.Gamma_g_tilde - loss * (c.V_L + c.V_R),
-        P=c.P,
-        delta_r=t * c.delta_r,
-        delta_nr=c.delta_nr - loss * (shares[-1] + shares[1]),
-        calV_L=root * c.calV_L,
-        calV_R=root * c.calV_R,
+        V_L=t * c["V_L"],
+        V_R=t * c["V_R"],
+        V_LR=t * c["V_LR"],
+        K=t * c["K"],
+        Gamma_g_tilde=c["Gamma_g_tilde"] - loss * (c["V_L"] + c["V_R"]),
+        P=couplings.P,
+        delta_r=t * c["delta_r"],
+        delta_nr=c["delta_nr"] - loss * (shares[-1] + shares[1]),
+        calV_L=root * c["calV_L"],
+        calV_R=root * c["calV_R"],
     )
     return ClosedFormSignal(atom, slabs, modulation, couplings.Gamma_g_tilde)
 

@@ -241,6 +241,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"curves.{key} sets .* already sweeps"):
             parse_config(text + CELL_YAML)
 
+    @pytest.mark.parametrize(
+        "curves, message",
+        [
+            ("epsilon: [0.1, 0.1000000000000001, 0.3]",
+             "curves.epsilon 0.1 and 0.1000000000000001 both write sweep_eps0.1.csv"),
+            ("omega_m_hz: [300.0, 600.0, 600.0]",
+             "curves.omega_m_hz 600.0 and 600.0 both write sweep_wm600.csv"),
+        ],
+        ids=["same-12-digit-tag", "repeated-value"],
+    )
+    def test_curve_values_must_write_distinct_files(self, tmp_path, curves, message):
+        # both curves used to write the same records and roots files, the
+        # second overwriting the first, and the manifest listed it twice
+        text = with_sweep("axis: m\n  start: 2.0\n  stop: 2.8\n  points: 9",
+                          "linearized", curves=curves)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+
+    def test_curve_values_apart_in_12_digits_write_their_own_files(self, tmp_path):
+        text = with_sweep("axis: m\n  start: 2.0\n  stop: 2.8\n  points: 3",
+                          "linearized", curves="epsilon: [0.1, 0.100000000001]")
+        result = run_scenario(parse_config(text), str(tmp_path))
+        names = [os.path.basename(p) for p in result.csv_paths]
+        assert names == ["sweep_eps0.1.csv", "sweep_eps0.100000000001.csv"]
+
     def test_serialize_round_trip(self):
         cfg = parse_config(BASE_YAML + CELL_YAML)
         assert parse_config(serialize_config(cfg)) == cfg

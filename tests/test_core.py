@@ -106,17 +106,39 @@ class TestBesselAmplitudes:
             spec = bessel_spectrum(m, epsilon, k_max, POWER, OMEGA)
             assert column == [a for _, a in spec.sorted_components()]
 
-    def test_array_couplings_equal_derive_couplings(self):
-        atom = make_atom()
-        amps = bessel_amplitudes(self.MS, 0.13, 5, POWER)
-        batch = amplitude_couplings(atom, dict(zip(range(-5, 6), amps)), OMEGA)
-        for i, m in enumerate(self.MS.tolist()):
-            one = derive_couplings(atom, bessel_spectrum(m, 0.13, 5, POWER, OMEGA))
+    @staticmethod
+    def assert_couplings_equal(atom, amps, spectra):
+        """The couplings of the columns of `amps` as one batch, field by
+        field, against `derive_couplings` of each column's spectrum."""
+        ks = range(-(len(amps) // 2), len(amps) // 2 + 1)
+        batch = amplitude_couplings(atom, dict(zip(ks, amps)), OMEGA)
+        for i, spectrum in enumerate(spectra):
+            one = derive_couplings(atom, spectrum)
             for name, value in vars(one).items():
                 batch_value = getattr(batch, name)  # P is shared, a float
                 assert (batch_value if name == "P" else batch_value[i]) == value, (
-                    name, m,
+                    name, i,
                 )
+
+    @pytest.mark.parametrize("k_max", [2, 5, 8])
+    @pytest.mark.parametrize("epsilon", [-0.9, 0.13, 0.9])
+    def test_array_couplings_equal_derive_couplings(self, k_max, epsilon):
+        # the depths run from m = 0 (empty resonant pair) past the first
+        # zero of J_1 at m = 3.8317
+        amps = bessel_amplitudes(self.MS, epsilon, k_max, POWER)
+        self.assert_couplings_equal(make_atom(), amps, (
+            bessel_spectrum(m, epsilon, k_max, POWER, OMEGA) for m in self.MS.tolist()
+        ))
+
+    def test_servo_sized_batch_equals_derive_couplings(self):
+        # 3,000 spectra, each scaled by its own intensity, as a servo run's
+        ms = np.linspace(2.0, 2.8, 3000)
+        intensity = 1.0 + 0.3 * np.sin(2.0 * math.pi * np.arange(3000) / 400)
+        amps = bessel_amplitudes(ms, 0.2, 5, POWER) * np.sqrt(intensity)
+        self.assert_couplings_equal(make_atom(), amps, (
+            FieldSpectrum(OMEGA, dict(zip(range(-5, 6), column)))
+            for column in amps.T.tolist()
+        ))
 
     def test_rejects_a_negative_depth_in_the_array(self):
         with pytest.raises(ParameterError, match="m must be >= 0, got -0.1"):

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import warnings
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,6 +36,7 @@ from cptsim import harmonic, sweep, thick
 from cptsim import (
     BracketError,
     CellParams,
+    FieldSpectrum,
     ModulationParams,
     ParameterError,
     ServoScenario,
@@ -417,7 +419,7 @@ class TestFindIpsAndPzds:
         assert msg.startswith("at m = 2, no crossing in bracket")
         assert re.search(r"S\(lo\) = \S+, S\(hi\) = \S+$", msg)
         assert isinstance(info.value.__cause__, BracketError)
-        assert lanes == [3, 1]  # the batch of three m, then m = 2 alone
+        assert lanes == [5, 1]  # the grid and its midpoints, then m = 2 alone
 
     def test_parameter_error_names_m(self, atom):
         # m = 0 leaves the resonant pair empty (J_1(0) = 0): S has no slope
@@ -483,6 +485,25 @@ LANE_PATHS = {
 @pytest.fixture(params=list(LANE_PATHS))
 def lane_path(request):
     return LANE_PATHS[request.param]
+
+
+@dataclass(frozen=True)
+class HoledFamily(sweep.BesselFamily):
+    """The Bessel family with its resonant pair emptied at each m of
+    `holes`: the in-phase signal is flat there, so the pair fails."""
+
+    holes: tuple[float, ...] = ()
+
+    def __call__(self, m):
+        spectrum = super().__call__(m)
+        if m not in self.holes:
+            return spectrum
+        return FieldSpectrum(spectrum.Omega, {**spectrum.components, -1: 0.0, 1: 0.0})
+
+    def amplitudes(self, ms):
+        amps = super().amplitudes(ms)
+        amps[[self.k_max - 1, self.k_max + 1]] *= ~np.isin(ms, self.holes)
+        return amps
 
 
 class TestLockstepGrid:
@@ -600,6 +621,53 @@ class TestLockstepGrid:
             atom, mod, family, [0.3, 0.5, 1.0], BracketError, path, cell
         )
         assert msg.startswith("at m = 0.3, no crossing in bracket")
+
+    @pytest.mark.parametrize("where", ["grid-and-midpoint", "midpoint"])
+    def test_first_round_names_a_grid_m_before_a_midpoint(
+        self, atom, lane_path, where
+    ):
+        # the grid and its midpoints are one batch; its per-point fallback
+        # meets the grid m first, as when the grid was solved on its own
+        grid = [2.0, 2.4, 2.8]
+        left, right = (0.5 * (a + b) for a, b in zip(grid, grid[1:]))
+        holes, named = {"grid-and-midpoint": ((left, 2.4), 2.4),
+                        "midpoint": ((right,), right)}[where]
+        family = HoledFamily(0.0, 5, POWER, OMEGA, holes=holes)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        msg = self.assert_same_error(
+            atom, make_modulation(a=0.2, omega_m=0.5 * gt), family, grid,
+            ParameterError, *lane_path,
+        )
+        assert msg.startswith(f"at m = {named:.12g}, ")
+        assert "0 at both bracket ends" in msg
+
+    def test_first_round_is_one_batch(self, atom, lane_path, monkeypatch):
+        path, cell = lane_path
+        batches = []
+        real = sweep.BesselFamily.amplitudes
+
+        def counted(family, ms):  # one call per batch of m lanes
+            batches.append(ms.tolist())
+            return real(family, ms)
+
+        monkeypatch.setattr(sweep.BesselFamily, "amplitudes", counted)
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        grid = [1.0, 4.0, 7.0]  # roots close enough to need a second round
+        res = self.sweep_and_reference(atom, mod, family, grid, path, cell)
+        midpoints = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+        assert batches[0] == grid + midpoints
+        # then one batch per later densification round, each of the new
+        # midpoints, and one per round of the Brent search in m
+        rounds = round(math.log2((len(res.records) - 1) / (len(grid) - 1)))
+        assert rounds >= 2
+        dense = sorted(grid + midpoints)
+        for batch in batches[1:rounds]:
+            assert batch == [0.5 * (a + b) for a, b in zip(dense, dense[1:])]
+            dense = sorted(dense + batch)
+        assert [r.m for r in res.records] == dense
+        assert len(batches) > rounds  # the Brent rounds
 
     def test_skewed_cell_names_the_first_m(self, atom):
         family = bessel_family(0.2, 5, POWER, OMEGA)
