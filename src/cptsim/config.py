@@ -68,14 +68,15 @@ def curve_suffix(key: str, value: float) -> str:
     _<tag><value to 12 significant digits>."""
     return f"_{CURVE_KEYS[key][1]}{value:.12g}"
 
-# Point field -> (block, field) of the config value it replaces.  Every axis
-# end and curve value must keep that field's limits; power_scale replaces
-# no field and is checked on its own.
-REPLACED_FIELDS = {
-    "m": ("spectrum", "m"),
-    "omega_m_hz": ("modulation", "omega_m_hz"),
-    "beta_per_m": ("cell", "beta_per_m"),
-    "epsilon": ("spectrum", "epsilon"),
+# Point field -> ((block, field) of the config value it replaces, its lane
+# column in `sweep._lane_pairs`, the factor to that column's unit).  Axis ends
+# and curve values keep the replaced field's limits; power_scale replaces none.
+POINT_FIELDS = {
+    "m": (("spectrum", "m"), "m", 1.0),
+    "omega_m_hz": (("modulation", "omega_m_hz"), "omega_m", TWO_PI),
+    "beta_per_m": (("cell", "beta_per_m"), "beta", 1.0),
+    "epsilon": (("spectrum", "epsilon"), "epsilon", 1.0),
+    "power_scale": (None, "power_scale", 1.0),
 }
 
 
@@ -135,9 +136,8 @@ class ModulationConfig(_Block):
     omega_m_hz: float = Field(gt=0, description="modulation frequency")
     alpha: float = 0.0
 
-    def to_params(self, omega_m_hz: float | None = None) -> ModulationParams:
-        hz = self.omega_m_hz if omega_m_hz is None else omega_m_hz
-        return ModulationParams(a=self.a, omega_m=TWO_PI * hz, alpha=self.alpha)
+    def to_params(self) -> ModulationParams:
+        return ModulationParams(self.a, TWO_PI * self.omega_m_hz, self.alpha)
 
 
 class SpectrumConfig(_Block):
@@ -317,7 +317,7 @@ class ScenarioConfig(_Block):
         config field it replaces, or None."""
         if field == "power_scale":
             return None if value > 0 else "power scale factors must be > 0"
-        block_name, name = REPLACED_FIELDS[field]
+        block_name, name = POINT_FIELDS[field][0]
         block = getattr(self, block_name)
         if block is None:  # a missing cell block is reported on its own
             return None

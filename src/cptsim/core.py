@@ -54,11 +54,17 @@ class ParameterError(ValueError):
     """Raised when a physical parameter or input combination is rejected."""
 
 
-def require_finite(owner: str, **values: float) -> None:
-    """Raise ParameterError naming the first of `values` that is NaN or inf."""
+def lane_values(value) -> list | tuple:
+    """The lanes of a numpy array as floats, or (value,) for one value."""
+    return value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)
+
+
+def require_finite(owner: str, **values) -> None:
+    """Raise ParameterError naming the first value or lane that is NaN or inf."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ParameterError(f"{owner}.{name} must be finite, got {value}")
+        for v in lane_values(value):
+            if not math.isfinite(v):
+                raise ParameterError(f"{owner}.{name} must be finite, got {v}")
 
 
 def require_integer(owner: str, **values: int) -> None:
@@ -184,14 +190,20 @@ class FieldSpectrum:
 
     def scaled(self, power_factor: float) -> "FieldSpectrum":
         """Spectrum with every E_k^2 multiplied by `power_factor` (sigma_k fixed)."""
-        require_finite("FieldSpectrum.scaled", power_factor=power_factor)
-        if power_factor < 0:
-            raise ParameterError(f"power factor must be >= 0, got {power_factor}")
-        root = math.sqrt(power_factor)
+        root = _power_root(power_factor)
         return FieldSpectrum(
             Omega=self.Omega,
             components={k: a * root for k, a in self.components.items()},
         )
+
+
+def _power_root(power_factor):
+    """sqrt(power_factor) of one factor or of an array of lanes, each checked."""
+    require_finite("FieldSpectrum.scaled", power_factor=power_factor)
+    if (lowest := min(lane_values(power_factor))) < 0:
+        raise ParameterError(f"power factor must be >= 0, got {lowest}")
+    sqrt = np.sqrt if isinstance(power_factor, np.ndarray) else math.sqrt
+    return sqrt(power_factor)
 
 
 @dataclass(frozen=True)
@@ -199,7 +211,8 @@ class ModulationParams:
     """Slow phase modulation of the sideband comb: phi(t) = a sin(omega_m t).
 
     `alpha` is the lock-in detection phase; the demodulation references are
-    cos(omega_m t + alpha) and sin(omega_m t + alpha).
+    cos(omega_m t + alpha) and sin(omega_m t + alpha).  `omega_m` may be
+    an array of lanes, each checked as one value.
     """
 
     a: float
@@ -212,8 +225,8 @@ class ModulationParams:
         )
         if self.a < 0:
             raise ParameterError(f"modulation index a must be >= 0, got {self.a}")
-        if self.omega_m <= 0:
-            raise ParameterError(f"omega_m must be positive, got {self.omega_m}")
+        if (lowest := min(lane_values(self.omega_m))) <= 0:
+            raise ParameterError(f"omega_m must be positive, got {lowest}")
 
     @property
     def beyond_recommended_index(self) -> bool:
@@ -384,11 +397,24 @@ def _mirror_index(k_max: int) -> np.ndarray:
     return index
 
 
+def require_family(owner: str, epsilon, k_max: int, total_power: float) -> None:
+    """Raise ParameterError, named by `owner`, for a bad Bessel family field."""
+    require_finite(owner, epsilon=epsilon, total_power=total_power)
+    require_integer(owner, k_max=k_max)
+    if not -1.0 < (e := max(lane_values(epsilon), key=abs)) < 1.0:
+        raise ParameterError(f"{owner} epsilon must satisfy |epsilon| < 1, got {e}")
+    if k_max < 2:
+        raise ParameterError(f"{owner} k_max must be >= 2, got {k_max}")
+    if total_power <= 0:
+        raise ParameterError(f"{owner} total_power must be > 0, got {total_power}")
+
+
 def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.ndarray:
     """Amplitudes E_k of `bessel_spectrum`, k = -k_max ... k_max along axis 0.
 
-    `m` is one depth, or a 1-D array of depths along axis 1; a NaN or
-    infinite depth or total_power is rejected by value.  Each column
+    `m` is one depth, or a 1-D array of depths along axis 1, and `epsilon`
+    one value or an array of the shape of `m`; a NaN or infinite depth,
+    epsilon or total_power is rejected by value.  Each column
     equals the components of `bessel_spectrum` at its depth bit for bit:
     the same `jv` values, skew and math.fsum normalisation, applied
     elementwise.
@@ -398,17 +424,9 @@ def bessel_amplitudes(m, epsilon: float, k_max: int, total_power: float) -> np.n
     for depth in np.ravel(m).tolist():
         if not math.isfinite(depth):
             raise ParameterError(f"modulation depth m must be finite, got {depth}")
-    lowest = np.min(m)
-    if lowest < 0:
+    if (lowest := np.min(m)) < 0:
         raise ParameterError(f"modulation depth m must be >= 0, got {lowest}")
-    if not -1.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must satisfy |epsilon| < 1, got {epsilon}")
-    require_integer("bessel_amplitudes", k_max=k_max)
-    if k_max < 2:
-        raise ParameterError(f"k_max must be >= 2, got {k_max}")
-    require_finite("bessel_amplitudes", total_power=total_power)
-    if total_power <= 0:
-        raise ParameterError(f"total_power must be positive, got {total_power}")
+    require_family("bessel_amplitudes", epsilon, k_max, total_power)
 
     j = np.abs(jv(range(k_max + 1), np.asarray(m)[..., None]))  # depths, then k
     amps = j.T[_mirror_index(k_max)]

@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .config import CURVE_KEYS, SWEEP_AXES, ScenarioConfig, curve_suffix
-from .sweep import _lane_pairs, bessel_family, find_ips_and_pzds
+from .config import CURVE_KEYS, POINT_FIELDS, SWEEP_AXES, ScenarioConfig, curve_suffix
+from .sweep import _applied, _lane_pairs, bessel_family, find_ips_and_pzds
 
 __all__ = ["RunResult", "emit_csv", "run_scenario"]
 
@@ -87,19 +87,23 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     prefix = config.output.prefix
 
     atom = config.atom.to_params()
-    Omega = atom.omega_g / 2.0
-    sweep = config.sweep
+    sweep, spec = config.sweep, config.spectrum
+    family = bessel_family(spec.epsilon, spec.k_max, spec.total_power, atom.omega_g / 2)
+    modulation = config.modulation.to_params()
+    cell = config.cell.to_params() if config.cell else None
     axis_field = SWEEP_AXES[sweep.axis]
+    _, axis_column, axis_factor = POINT_FIELDS[axis_field]
     grid = _grid(sweep.start, sweep.stop, sweep.points)
 
-    # (manifest curve entry, point fields, file suffix) per curve
+    # (manifest curve entry, lane columns, file suffix) per curve
     curves: list[tuple[dict, dict, str]] = [({}, {}, "")]
     if sweep.curves is not None:
         key, values = sweep.curves.items()
         field, _, per_length = CURVE_KEYS[key]
-        length = config.cell.length_m if per_length else None
+        _, column, factor = POINT_FIELDS[field]
+        length = config.cell.length_m if per_length else 1.0
         curves = [
-            ({key: v}, {field: v / length if length else v}, curve_suffix(key, v))
+            ({key: v}, {column: factor * (v / length)}, curve_suffix(key, v))
             for v in values
         ]
 
@@ -107,23 +111,15 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
     roots_paths: list[str] = []
     manifest_curves = []
 
-    spec = config.spectrum
-    for curve, point, suffix in curves:
+    for curve, columns, suffix in curves:
         records_path = os.path.join(out, f"{prefix}{suffix}.csv")
         entry = {"curve": curve, "grid": list(grid)}
-        modulation = config.modulation.to_params(point.get("omega_m_hz"))
-        cell = config.cell.to_params(point.get("beta_per_m")) if config.cell else None
-        family = bessel_family(
-            point.get("epsilon", spec.epsilon), spec.k_max, spec.total_power, Omega
-        )
         if sweep.axis == "m":
             rows: list[tuple] = []
             root_rows: list[tuple] = []
             if grid:  # an empty grid writes header-only files
-                result = find_ips_and_pzds(
-                    atom, modulation, family, grid,
-                    path=sweep.path, cell=cell,
-                )
+                fam, mod, curve_cell = _applied(family, modulation, cell, columns)
+                result = find_ips_and_pzds(atom, mod, fam, grid, sweep.path, curve_cell)
                 rows = [
                     (r.m, r.E2, r.delta0 / TWO_PI, r.dDelta0_dE2)
                     for r in result.records
@@ -141,12 +137,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
             )
             roots_paths.append(roots_path)
             entry["roots"] = os.path.basename(roots_path)
-        else:  # every point a lane of one pair solve; omega_m in rad/s
-            column = "power_scale" if sweep.axis == "power" else sweep.axis
-            scale = TWO_PI if sweep.axis == "omega_m" else 1.0
+        else:  # every point a lane of one pair solve, the curve's value shared
             pairs = _lane_pairs(
                 atom, modulation, family, sweep.path, cell, True,
-                {"m": spec.m, column: scale * np.array(grid)}, axis_field, grid,
+                {"m": spec.m, **columns, axis_column: axis_factor * np.array(grid)},
+                axis_field, grid,
             )
             rows = [(v, E2, d0 / TWO_PI, dd) for v, (d0, dd, E2) in zip(grid, pairs)]
         emit_csv(
@@ -162,7 +157,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunResul
         "config": config.model_dump(mode="json"),
         "resolved": {
             "Delta_L_hz": atom.Delta_L / TWO_PI,
-            "Omega_hz": Omega / TWO_PI,
+            "Omega_hz": family.Omega / TWO_PI,
             "total_power": config.spectrum.total_power,
         },
         "curves": manifest_curves,

@@ -40,10 +40,12 @@ from .core import (
     ModulationParams,
     ParameterError,
     _fsum_columns,
+    _power_root,
     amplitude_couplings,
     bessel_amplitudes,
     bessel_spectrum,
     derive_couplings,
+    require_family,
     require_finite,
     require_integer,
 )
@@ -373,9 +375,10 @@ class BesselFamily:
 
     Calling it with m returns `bessel_spectrum(m, epsilon, k_max,
     total_power, Omega)`; `amplitudes` and `couplings` build the spectra of
-    many depths at once, for the servo's steps and a sweep grid's lanes.
-    Every field is checked on construction (ParameterError), so no lane
-    meets an invalid family.
+    many depths at once, for the servo's steps and a sweep's lanes, and
+    `epsilon` may hold one lane per depth.  Every field, each lane too, is
+    checked on construction (ParameterError), so no lane meets an invalid
+    family.
     """
 
     epsilon: float
@@ -384,23 +387,8 @@ class BesselFamily:
     Omega: float
 
     def __post_init__(self) -> None:
-        require_finite(
-            "BesselFamily",
-            epsilon=self.epsilon,
-            total_power=self.total_power,
-            Omega=self.Omega,
-        )
-        require_integer("BesselFamily", k_max=self.k_max)
-        if not -1.0 < self.epsilon < 1.0:
-            raise ParameterError(
-                f"BesselFamily epsilon must satisfy |epsilon| < 1, got {self.epsilon}"
-            )
-        if self.k_max < 2:
-            raise ParameterError(f"BesselFamily k_max must be >= 2, got {self.k_max}")
-        if self.total_power <= 0:
-            raise ParameterError(
-                f"BesselFamily total_power must be > 0, got {self.total_power}"
-            )
+        require_family("BesselFamily", self.epsilon, self.k_max, self.total_power)
+        require_finite("BesselFamily", Omega=self.Omega)
         if self.Omega <= 0:
             raise ParameterError(f"BesselFamily Omega must be > 0, got {self.Omega}")
 
@@ -425,14 +413,14 @@ class BesselFamily:
 bessel_family = BesselFamily
 
 
-def _with_lanes(params, lanes: dict, field: str):
-    """`params`, or if `lanes` has `field` a copy whose field holds those
-    lanes, unchecked: each lane's value is checked at its own point."""
-    if field not in lanes:
-        return params
-    copy = object.__new__(type(params))
-    vars(copy).update(vars(params), **{field: lanes[field]})
-    return copy
+def _applied(family, modulation, cell, x: dict) -> tuple:
+    """(family, modulation, cell) with the epsilon, omega_m and beta of the
+    columns `x` (one point's floats or a batch's lanes), each type-checked."""
+    return (
+        replace(family, epsilon=x["epsilon"]) if "epsilon" in x else family,
+        replace(modulation, omega_m=x["omega_m"]) if "omega_m" in x else modulation,
+        replace(cell, beta=x["beta"]) if "beta" in x else cell,
+    )
 
 
 def _lane_pairs(
@@ -446,36 +434,27 @@ def _lane_pairs(
 
     `columns` maps "m", and any of "epsilon", "power_scale" (E^2 -> s E^2),
     "omega_m" and "beta", to an array over the points or a shared value;
-    the rest are those of `family`, `modulation` and `cell`.  For a
-    `BesselFamily` off the time domain, the points with a clean bracket
-    (closed-form root in +-Gamma_g_tilde, or harmonic signals of strictly
-    opposite signs at its ends) are lanes of one signal, at most MAX_LANES
-    of one slab count (beta = 0 or > 0) at a time; the others go through
-    `crossing_and_sensitivity` in order, an error re-raised as "at name =
-    values[j], ...".
+    the rest are those of `family`, `modulation` and `cell` (`_applied`).
+    For a `BesselFamily` off the time domain, the points with a clean
+    bracket (closed-form root in +-Gamma_g_tilde, or harmonic signals of
+    strictly opposite signs at its ends) are lanes of one signal, at most
+    MAX_LANES of one slab count (beta = 0 or > 0) at a time, shared values
+    broadcast; the others go through `crossing_and_sensitivity` in order,
+    an error re-raised as "at name = values[j], ...".
     """
-
-    def point(j: int):
-        """Spectrum, modulation and cell of lane j, each checked."""
-        x = {k: float(v[j]) if np.ndim(v) else v for k, v in columns.items()}
-        fam = replace(family, epsilon=x["epsilon"]) if "epsilon" in x else family
-        spectrum = fam(x["m"])
-        if "power_scale" in x:
-            spectrum = spectrum.scaled(x["power_scale"])
-        mod = replace(modulation, omega_m=x.get("omega_m", modulation.omega_m))
-        return spectrum, mod, replace(cell, beta=x["beta"]) if "beta" in x else cell
 
     def batch(lanes: np.ndarray) -> dict[int, tuple[float, float, float]]:
         """The pairs of the clean lanes among `lanes`, by lane index."""
-        x = {k: v[lanes] if np.ndim(v) else v for k, v in columns.items()}
-        try:  # a batch whose signal cannot be built is left to `point`
-            amps = family.amplitudes(x["m"]) if len(x) == 1 else np.array([
-                list(point(j)[0].components.values()) for j in lanes.tolist()
-            ]).T  # the family's amplitudes if only m varies, else each point's
+        x = {k: v[lanes] if np.ndim(v) else np.full(len(lanes), v)
+             for k, v in columns.items()}
+        try:  # a batch whose signal cannot be built goes per point
+            fam, mod, lane_cell = _applied(family, modulation, cell, x)
+            amps = fam.amplitudes(x["m"])
+            if "power_scale" in x:
+                amps = amps * _power_root(x["power_scale"])
             signal = _couplings_signal(
-                atom, family.couplings(atom, amps), family.Omega,
-                _with_lanes(modulation, x, "omega_m"), path,
-                _with_lanes(cell, x, "beta"), allow_asymmetric,
+                atom, fam.couplings(atom, amps), fam.Omega, mod, path,
+                lane_cell, allow_asymmetric,
             )
         except ParameterError:
             return {}
@@ -502,15 +481,18 @@ def _lane_pairs(
         for group in np.flatnonzero(transparent), np.flatnonzero(~transparent):
             for start in range(0, len(group), MAX_LANES):
                 pairs.update(batch(group[start : start + MAX_LANES]))
-    for j in range(len(values)):
-        if j not in pairs:
-            spectrum, mod, lane_cell = point(j)
-            try:
-                pairs[j] = crossing_and_sensitivity(
-                    atom, spectrum, mod, path, lane_cell, allow_asymmetric
-                ) + (spectrum.total_power,)
-            except (BracketError, ParameterError) as exc:
-                raise type(exc)(f"at {name} = {values[j]:.12g}, {exc}") from exc
+    for j in (j for j in range(len(values)) if j not in pairs):
+        x = {k: float(v[j]) if np.ndim(v) else v for k, v in columns.items()}
+        fam, mod, lane_cell = _applied(family, modulation, cell, x)
+        spectrum = fam(x["m"])
+        if "power_scale" in x:
+            spectrum = spectrum.scaled(x["power_scale"])
+        try:
+            pairs[j] = crossing_and_sensitivity(
+                atom, spectrum, mod, path, lane_cell, allow_asymmetric
+            ) + (spectrum.total_power,)
+        except (BracketError, ParameterError) as exc:
+            raise type(exc)(f"at {name} = {values[j]:.12g}, {exc}") from exc
     return [pairs[j] for j in range(len(values))]
 
 

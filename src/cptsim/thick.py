@@ -34,6 +34,7 @@ from .core import (
     ParameterError,
     _nonresonant_terms,
     derive_couplings,
+    lane_values,
     require_finite,
     require_integer,
 )
@@ -59,9 +60,10 @@ MAX_SLABS = 4096
 class CellParams:
     """Cell geometry and resonant-sideband absorption.
 
-    `beta` is the intensity decay constant (1/m) of the resonant sidebands;
-    carrier and higher sidebands propagate unattenuated.  beta * length is
-    the total optical depth (0.163 for 15% absorption, 0.43 for 35%).
+    `beta` is the intensity decay constant (1/m) of the resonant sidebands,
+    or an array of lanes; carrier and higher sidebands propagate
+    unattenuated.  beta * length is the total optical depth (0.163 for 15%
+    absorption, 0.43 for 35%).
     """
 
     length: float
@@ -73,8 +75,8 @@ class CellParams:
         require_finite("CellParams", length=self.length, beta=self.beta)
         if self.length <= 0:
             raise ParameterError(f"cell length must be positive, got {self.length}")
-        if self.beta < 0:
-            raise ParameterError(f"beta must be >= 0, got {self.beta}")
+        if (lowest := min(lane_values(self.beta))) < 0:
+            raise ParameterError(f"beta must be >= 0, got {lowest}")
         if not 8 <= self.n_slabs <= MAX_SLABS:
             raise ParameterError(
                 f"n_slabs must be in [8, {MAX_SLABS}], got {self.n_slabs}"

@@ -45,6 +45,9 @@ TRACE_PERIODS = 4
 # Most RK4 steps whose maps and prefix products are held at once; a longer
 # period is integrated chunk by chunk, which bounds the working memory.
 CHUNK_STEPS = 4096
+# Most RK4 steps in one period: a trace holds about 384 B per step of a
+# period, about 0.4 GB at this bound, and a longer period is refused.
+MAX_PERIOD_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,13 @@ def integrate_ground_state(
     transient would relax to.  rho22 + rho11 relaxes to 1 and RK4 keeps
     linear invariants, so on that orbit rho11 = 1 - rho22 exactly and the
     map acts on (rho22, Re rho21, Im rho21, 1).  The step obeys
-    dt <= (2 pi / omega_m)/200 and dt <= 0.02/Gamma_g_tilde.  Returns
-    TRACE_PERIODS periods of the orbit (endpoint included), starting at t = 0.
+    dt <= (2 pi / omega_m)/200, dt <= 0.02/Gamma_g_tilde and, for the
+    rotation by the dressed detuning |x(t)| <= |x0| + |x1|, dt <= 0.2/(|x0|
+    + |x1|), well inside RK4's stability limit h |x| < 2 sqrt(2); the last
+    binds only for |x0| + |x1| > 10 Gamma_g_tilde.  A period of more than
+    MAX_PERIOD_STEPS steps raises ParameterError before anything is
+    allocated.  Returns TRACE_PERIODS periods of the orbit (endpoint
+    included), starting at t = 0.
 
     The maps of a period are built CHUNK_STEPS at a time: once to carry
     the running product to the period map, each chunk's total by a pairwise
@@ -157,10 +165,19 @@ def integrate_ground_state(
     require_finite("integrate_ground_state", delta=delta)
     c = derive_couplings(atom, spectrum)
     wm = modulation.omega_m
-    spp = max(200, math.ceil(2.0 * math.pi / wm * c.Gamma_g_tilde / 0.02))
-    h = 2.0 * math.pi / wm / spp
-
     x0, x1 = 2.0 * delta + c.delta_r + c.delta_nr, 2.0 * modulation.a * wm
+    period = 2.0 * math.pi / wm
+    steps = max(
+        200.0, period * c.Gamma_g_tilde / 0.02, period * (abs(x0) + abs(x1)) / 0.2
+    )
+    if not steps <= MAX_PERIOD_STEPS:
+        raise ParameterError(
+            f"one modulation period needs {steps:.6g} RK4 steps, more than "
+            f"MAX_PERIOD_STEPS = {MAX_PERIOD_STEPS} (omega_m = "
+            f"{wm / c.Gamma_g_tilde:.3g} Gamma_g_tilde)"
+        )
+    spp = math.ceil(steps)
+    h = period / spp
     starts = range(0, spp, CHUNK_STEPS)
 
     def maps(start: int) -> np.ndarray:

@@ -622,6 +622,23 @@ class TestCli:
         assert f"scenario {config} failed:" in err
         assert "no slope in delta (modulation index a = 0.0)" in err
 
+    def test_run_period_beyond_the_step_bound_exits_1(self, tmp_path, capsys):
+        # 4.7e7 RK4 steps a period at m = 2 (about 18 GB of trace): refused
+        # at the first point, before it is integrated
+        text = BASE_YAML.replace("omega_m_hz: 600.0", "omega_m_hz: 0.01").replace(
+            "path: linearized", "path: time-domain"
+        )
+        config = self.write_config(tmp_path, text)
+        assert main(["validate", config]) == 0
+        capsys.readouterr()
+        assert main(["run", config, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"scenario {config} failed: at m = 2, one modulation period needs "
+        )
+        assert "MAX_PERIOD_STEPS = 1048576" in err[0]
+
     def test_sym_detuning_prints_mhz(self, capsys):
         code = main(["sym-detuning", "--gamma", "1000", "--omega-e", "816.656"])
         assert code == 0

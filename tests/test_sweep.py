@@ -865,6 +865,58 @@ class TestLanePairs:
             ) + (spectrum.total_power,))
         assert pairs == expected
 
+    @pytest.mark.parametrize("m", ["shared", "lanes"])
+    @pytest.mark.parametrize("path", ["harmonic", "linearized", "thick"])
+    def test_several_columns_at_once_equal_their_points(
+        self, atom, path, m, monkeypatch
+    ):
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt, alpha=0.3)
+        cell = CellParams(0.02, 21.5)
+        names = ["epsilon", "power_scale", "omega_m"] + ["beta"] * (path == "thick")
+        columns = {k: np.array(self.COLUMNS[k]) for k in names}
+        columns["omega_m"] = gt * columns["omega_m"]
+        columns["m"] = np.array(self.COLUMNS["m"]) if m == "lanes" else 2.4
+        values = self.COLUMNS["epsilon"]
+        calls = TestLockstepGrid.per_point_spectra(monkeypatch)
+        pairs = sweep._lane_pairs(
+            atom, mod, family, path, cell, True, columns, "epsilon", values,
+        )
+        assert calls == []  # one batch per slab count, no lane per point
+        expected = []
+        for j in range(len(values)):
+            x = {k: float(np.broadcast_to(v, 5)[j]) for k, v in columns.items()}
+            spectrum = bessel_family(x["epsilon"], 5, POWER, OMEGA)(x["m"])
+            spectrum = spectrum.scaled(x["power_scale"])
+            expected.append(crossing_and_sensitivity(
+                atom, spectrum,
+                ModulationParams(a=0.2, omega_m=x["omega_m"], alpha=0.3),
+                path, CellParams(0.02, x.get("beta", 21.5)), True,
+            ) + (spectrum.total_power,))
+        assert pairs == expected
+
+    @pytest.mark.parametrize("column", ["epsilon", "power_scale", "omega_m", "beta"])
+    def test_a_batch_builds_no_spectrum(self, atom, column, monkeypatch):
+        # the lanes' amplitudes come from `BesselFamily.amplitudes`, and the
+        # other columns are set on the parameter types, whatever the column
+        family = bessel_family(0.2, 5, POWER, OMEGA)
+        gt = derive_couplings(atom, family(2.4)).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=0.5 * gt)
+        values = self.COLUMNS[column]
+        lanes = np.array(values) * (gt if column == "omega_m" else 1.0)
+        built = []
+        real = FieldSpectrum.__post_init__
+        monkeypatch.setattr(
+            FieldSpectrum, "__post_init__", lambda s: built.append(s) or real(s)
+        )
+        calls = TestLockstepGrid.per_point_spectra(monkeypatch)
+        sweep._lane_pairs(
+            atom, mod, family, "thick", CellParams(0.02, 21.5), True,
+            {"m": 2.4, column: lanes}, column, values,
+        )
+        assert calls == [] and built == []
+
     @pytest.mark.parametrize("path", ["harmonic", "linearized", "thick"])
     def test_only_the_unclean_lane_goes_per_point(self, atom, path, monkeypatch):
         # at m = 0.2 (carrier-heavy) twice the power puts the crossing
@@ -890,6 +942,76 @@ class TestLanePairs:
         # the batch of three, its two clean lanes, then 2.0 on its own
         assert lanes == [3, 2, 1]
         assert calls == [family(0.2).scaled(2.0)]
+
+
+class TestLaneFields:
+    """The fields that may hold a sweep's lanes: an array is checked lane by
+    lane, each with the text of the check of one value."""
+
+    # lane field -> (its type, the other fields, good lanes, bad lanes and
+    # the error each raises, in an array and as one value alike)
+    CASES = {
+        "omega_m": (ModulationParams, dict(a=0.2, alpha=0.3), [1.0, 2.0], [
+            (math.nan, "ModulationParams.omega_m must be finite, got nan"),
+            (math.inf, "ModulationParams.omega_m must be finite, got inf"),
+            (0.0, "omega_m must be positive, got 0.0"),
+        ]),
+        "beta": (CellParams, dict(length=0.02), [0.0, 21.5], [
+            (math.nan, "CellParams.beta must be finite, got nan"),
+            (-math.inf, "CellParams.beta must be finite, got -inf"),
+            (-1.0, "beta must be >= 0, got -1.0"),
+        ]),
+        "epsilon": (
+            sweep.BesselFamily, dict(k_max=5, total_power=POWER, Omega=OMEGA),
+            [-0.3, 0.2], [
+                (math.nan, "BesselFamily.epsilon must be finite, got nan"),
+                (math.inf, "BesselFamily.epsilon must be finite, got inf"),
+                (1.0, "BesselFamily epsilon must satisfy |epsilon| < 1, got 1.0"),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("field", list(CASES))
+    def test_accepts_an_array_of_lanes(self, field):
+        kind, others, good, _ = self.CASES[field]
+        lanes = np.array(good)
+        assert getattr(kind(**others, **{field: lanes}), field) is lanes
+
+    @pytest.mark.parametrize("field, bad, text", [
+        (field, bad, text)
+        for field, (*_, bads) in CASES.items() for bad, text in bads
+    ])
+    def test_rejects_one_bad_lane_as_its_point(self, field, bad, text):
+        kind, others, good, _ = self.CASES[field]
+        for value in np.array([good[0], bad, good[1]]), bad:
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                kind(**others, **{field: value})
+
+    def test_family_lanes_equal_their_spectra(self):
+        eps, ms = np.array([-0.3, 0.0, 0.2]), np.array([2.0, 2.4, 2.8])
+        amps = bessel_family(eps, 5, POWER, OMEGA).amplitudes(ms)
+        for column, e, m in zip(amps.T.tolist(), eps.tolist(), ms.tolist()):
+            spectrum = bessel_family(e, 5, POWER, OMEGA)(m)
+            assert column == [a for _, a in spectrum.sorted_components()]
+
+    def test_power_lanes_are_the_scaled_spectra(self):
+        # one checked square root serves a lane array and `FieldSpectrum.scaled`
+        spectrum = bessel_family(0.2, 5, POWER, OMEGA)(2.4)
+        scales = np.array([0.0, 0.5, 1.3])
+        root = sweep._power_root(scales)
+        for r, s in zip(root.tolist(), scales.tolist()):
+            assert [a * r for _, a in spectrum.sorted_components()] == [
+                a for _, a in spectrum.scaled(s).sorted_components()
+            ]
+        for bad, text in [
+            (math.nan, "FieldSpectrum.scaled.power_factor must be finite, got nan"),
+            (-0.5, "power factor must be >= 0, got -0.5"),
+        ]:
+            for value in np.array([1.0, bad]), bad:
+                with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                    sweep._power_root(value)
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                spectrum.scaled(bad)
 
 
 class TestBrent:

@@ -152,6 +152,56 @@ class TestIntegration:
         assert trace.n_periods == 4
         assert trace.t.size == 4 * spp + 1
 
+    @pytest.mark.parametrize("a", [0.05, 0.5])
+    @pytest.mark.parametrize("w_frac", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("d_frac", [-1.0, 0.0, 1.0])
+    def test_step_count_within_the_width_is_set_by_period_and_width(
+        self, atom, a, w_frac, d_frac
+    ):
+        # the rotation rule dt <= 0.2/(|x0| + |x1|) binds only beyond
+        # 10 Gamma_g_tilde: within +-Gamma_g_tilde the count is unchanged
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=a, omega_m=w_frac * gt)
+        trace = integrate_ground_state(atom, spec, mod, d_frac * gt)
+        spp = max(200, math.ceil(2.0 * math.pi / mod.omega_m * gt / 0.02))
+        assert trace.t.size == 4 * spp + 1
+        assert trace.dt == 2.0 * math.pi / mod.omega_m / spp
+
+    @pytest.mark.parametrize("w_frac", [0.5, 1.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_far_detuning_stays_stable(self, atom, w_frac, sign):
+        # at |delta| = 200 Gamma_g_tilde the period and width rules alone
+        # gave h |x| near 8, past RK4's stability limit 2 sqrt(2): the orbit
+        # overflowed to NaN.  The rotation rule keeps it on the harmonic signal
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=w_frac * gt)
+        delta = sign * 200.0 * gt
+        trace = integrate_ground_state(atom, spec, mod, delta)
+        assert np.isfinite(trace.kappa).all()
+        S = lockin(trace).S
+        assert S == pytest.approx(harmonic_signals(atom, spec, mod, delta).S, rel=1e-6)
+
+    def test_period_beyond_the_step_bound_is_refused_before_allocating(self, atom):
+        # omega_m = 1e-6 Gamma_g_tilde asks for 3.1e8 steps a period, some
+        # 120 GB of trace
+        spec = make_spectrum(m=2.4, epsilon=0.2)
+        gt = derive_couplings(atom, spec).Gamma_g_tilde
+        mod = make_modulation(a=0.2, omega_m=1e-6 * gt)
+        match = (
+            r"^one modulation period needs 3\.14159e\+08 RK4 steps, more than "
+            r"MAX_PERIOD_STEPS = 1048576 \(omega_m = 1e-06 Gamma_g_tilde\)$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=match):
+                integrate_ground_state(atom, spec, mod, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_grid_shape_and_population_sum(self, atom):
         spec = make_spectrum(m=2.4, epsilon=0.2)
         gt = derive_couplings(atom, spec).Gamma_g_tilde
